@@ -27,7 +27,7 @@ from .chains import (THEOREM_IDS, ChainLink, ChainReport, assess,
 from .instances import (GeneratorParams, SplitMix64, generate_instance,
                         parse_instance, serialize_instance)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded", "ConvergenceError", "DimensionMismatch",

@@ -11,6 +11,8 @@ implementation bug and must be loud.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,12 +20,11 @@ from .errors import DimensionMismatch
 from .matrices import (DEFAULT_TOL, ROW_SUM, RadiusBracket, check_matrix,
                        hadamard_product, spectral_radius_bracket,
                        weighted_hadamard_geometric_mean)
-from .radius import radius_bracket_set, symmetrization_sequence, \
-    symmetrization_sequence_ab
+from .radius import radius_bracket_set, symmetrization_sequence_ab
 from .sets import (CONVEX, SUPER, MEMBER_CAP, MatrixSet, WeightVector,
-                   cyclic_factor, set_adjoint, set_hadamard_mean,
-                   set_hadamard_power, set_power, set_product, set_sum,
-                   symmetrize, symmetrize_ab, uniform_weights)
+                   _fold, _pair_mean, cyclic_factor, set_adjoint,
+                   set_hadamard_mean, set_hadamard_power, set_power,
+                   set_product, set_sum, symmetrize_ab, uniform_weights)
 
 VERIFIED = "verified"
 INDETERMINATE = "indeterminate"
@@ -37,12 +38,6 @@ VERDICT_TOL = 1e-9
 
 DEFAULT_CHAIN_DEPTH = 8
 DEFAULT_WORD_BUDGET = 20_000
-
-THEOREM_IDS = (
-    "zhan-chain", "powers", "refin", "folge", "kathyprop-eq",
-    "kathyprop-mat", "finally", "kathyth1", "equalities-joint", "kathyth2",
-    "finally2", "sym-mono", "geom-sym", "sym-mat", "geom-sym-mat",
-)
 
 
 @dataclass(frozen=True)
@@ -101,13 +96,9 @@ class _Evaluator:
 
     def link(self, label: str, factors, relation: str) -> ChainLink:
         """``factors``: list of (MatrixSet, exponent) with exponent >= 0."""
-        lo, hi = 1.0, 1.0
-        for ms, e in factors:
-            b = self.set_bracket(ms).powered(e)
-            lo *= b.lo
-            hi *= b.hi
-        return ChainLink(label, RadiusBracket(min(lo, hi), hi, self.depth,
-                                              self.norm), relation)
+        parts = [(self.set_bracket(ms), e) for ms, e in factors]
+        return ChainLink(label, _bracket_product(parts, self.depth,
+                                                 self.norm), relation)
 
     def context(self, **extra) -> dict:
         ctx = {"depth": self.depth, "norm": self.norm, "tol": self.tol,
@@ -168,20 +159,22 @@ def assess(links, tol: float = VERDICT_TOL):
     return verdict, tuple(margins)
 
 
-def _single_link(label: str, bracket: RadiusBracket,
-                 relation: str) -> ChainLink:
-    return ChainLink(label, bracket, relation)
-
-
-def _mul_brackets(parts) -> RadiusBracket:
-    lo, hi, depth, norm = 1.0, 1.0, 1, ROW_SUM
+def _bracket_product(parts, depth: int, norm: str) -> RadiusBracket:
+    """Bracket of ``Π x^e`` from (bracket of x, exponent e >= 0) pairs."""
+    lo, hi = 1.0, 1.0
     for b, e in parts:
         p = b.powered(e)
         lo *= p.lo
         hi *= p.hi
-        depth = max(depth, b.depth)
-        norm = b.norm
     return RadiusBracket(min(lo, hi), hi, depth, norm)
+
+
+def _report(theorem_id: str, links, context: dict,
+            notes=()) -> ChainReport:
+    links = tuple(links)
+    verdict, margins = assess(links)
+    return ChainReport(theorem_id, links, verdict, margins,
+                       notes=tuple(notes), context=context)
 
 
 # ---------------------------------------------------------------------------
@@ -198,24 +191,25 @@ def chain_zhan(a, b, beta: float, *, tol: float = DEFAULT_TOL) -> ChainReport:
     ab = a @ b
     ba = b @ a
     r = lambda m: spectral_radius_bracket(m, tol=tol)
+    r_had, r_ab = r(hadamard_product(a, b)), r(ab)
+    sq_ab, sq_ba = r(hadamard_product(ab, ab)), r(hadamard_product(ba, ba))
     links = (
-        _single_link("r(A∘B)", r(hadamard_product(a, b)), LEQ),
-        _single_link("r((A∘A)(B∘B))^(1/2)",
-                     r(hadamard_product(a, a) @ hadamard_product(b, b))
-                     .powered(0.5), LEQ),
-        _single_link("r(AB∘AB)^(β/2)·r(BA∘BA)^((1-β)/2)",
-                     _mul_brackets([(r(hadamard_product(ab, ab)), beta / 2),
-                                    (r(hadamard_product(ba, ba)),
-                                     (1 - beta) / 2)]), LEQ),
-        _single_link("r(AB)", r(ab), END),
-        _single_link("r(A∘B)", r(hadamard_product(a, b)), LEQ),
-        _single_link("r(AB∘BA)^(1/2)",
-                     r(hadamard_product(ab, ba)).powered(0.5), LEQ),
-        _single_link("r(AB)", r(ab), END),
+        ChainLink("r(A∘B)", r_had, LEQ),
+        ChainLink("r((A∘A)(B∘B))^(1/2)",
+                  r(hadamard_product(a, a) @ hadamard_product(b, b))
+                  .powered(0.5), LEQ),
+        ChainLink("r(AB∘AB)^(β/2)·r(BA∘BA)^((1-β)/2)",
+                  _bracket_product([(sq_ab, beta / 2),
+                                    (sq_ba, (1 - beta) / 2)],
+                                   max(sq_ab.depth, sq_ba.depth),
+                                   sq_ba.norm), LEQ),
+        ChainLink("r(AB)", r_ab, END),
+        ChainLink("r(A∘B)", r_had, LEQ),
+        ChainLink("r(AB∘BA)^(1/2)",
+                  r(hadamard_product(ab, ba)).powered(0.5), LEQ),
+        ChainLink("r(AB)", r_ab, END),
     )
-    verdict, margins = assess(links)
-    return ChainReport("zhan-chain", links, verdict, margins,
-                       context={"beta": beta, "tol": tol})
+    return _report("zhan-chain", links, {"beta": beta, "tol": tol})
 
 
 def chain_huang(mats, *, tol: float = DEFAULT_TOL) -> ChainReport:
@@ -228,33 +222,22 @@ def chain_huang(mats, *, tol: float = DEFAULT_TOL) -> ChainReport:
         if x.shape != mats[0].shape:
             raise DimensionMismatch("matrices must share a dimension")
     w = [1.0 / m] * m
-    cyclic = []
-    for j in range(m):
-        p = mats[j]
-        for x in mats[j + 1:] + mats[:j]:
-            p = p @ x
-        cyclic.append(p)
+    cyclic = [reduce(np.matmul, mats[j:] + mats[:j]) for j in range(m)]
     full = cyclic[0]
     r = lambda x: spectral_radius_bracket(x, tol=tol)
     links = (
-        _single_link("r(A1^(1/m)∘…∘Am^(1/m))",
-                     r(weighted_hadamard_geometric_mean(mats, w)), LEQ),
-        _single_link("r(P1^(1/m)∘…∘Pm^(1/m))^(1/m)",
-                     r(weighted_hadamard_geometric_mean(cyclic, w))
-                     .powered(1.0 / m), LEQ),
-        _single_link("r(A1⋯Am)^(1/m)", r(full).powered(1.0 / m), END),
+        ChainLink("r(A1^(1/m)∘…∘Am^(1/m))",
+                  r(weighted_hadamard_geometric_mean(mats, w)), LEQ),
+        ChainLink("r(P1^(1/m)∘…∘Pm^(1/m))^(1/m)",
+                  r(weighted_hadamard_geometric_mean(cyclic, w))
+                  .powered(1.0 / m), LEQ),
+        ChainLink("r(A1⋯Am)^(1/m)", r(full).powered(1.0 / m), END),
     )
-    verdict, margins = assess(links)
-    return ChainReport("zhan-chain", links, verdict, margins,
-                       context={"m": m, "tol": tol})
+    return _report("zhan-chain", links, {"m": m, "tol": tol})
 
 
 # ---------------------------------------------------------------------------
 # set chains
-
-def _names(sets):
-    return [s.name or f"Ψ{i + 1}" for i, s in enumerate(sets)]
-
 
 def chain_powers(sets, w: WeightVector, n: int,
                  depth: int = DEFAULT_CHAIN_DEPTH, norm: str = ROW_SUM, *,
@@ -266,15 +249,13 @@ def chain_powers(sets, w: WeightVector, n: int,
     if w.regime != CONVEX:
         raise ValueError("this chain requires convex weights")
     ev = _Evaluator(depth, norm, tol, budget, cap)
-    names = _names(sets)
+    names = [s.name or f"Ψ{i + 1}" for i, s in enumerate(sets)]
     m = len(sets)
     mean = set_hadamard_mean(sets, w, cap=cap)
     powered = set_hadamard_mean([set_power(s, n, cap=cap) for s in sets],
                                 w, cap=cap)
     umean = set_hadamard_mean(sets, uniform_weights(m), cap=cap)
-    prod = sets[0]
-    for s in sets[1:]:
-        prod = set_product(prod, s, cap=cap)
+    prod = _fold(set_product, sets, cap)
     wtxt = ",".join(f"{x:g}" for x in w.weights)
     links = (
         ev.link(f"r(∘-mean({','.join(names)}; {wtxt}))", [(mean, 1.0)], LEQ),
@@ -284,9 +265,8 @@ def chain_powers(sets, w: WeightVector, n: int,
         ev.link("r(∘-mean uniform)", [(umean, 1.0)], LEQ),
         ev.link(f"r(Ψ1⋯Ψ{m})^(1/{m})", [(prod, 1.0 / m)], END),
     )
-    verdict, margins = assess(links)
-    return ChainReport("powers", links, verdict, margins,
-                       context=ev.context(n=n, weights=list(w.weights)))
+    return _report("powers", links,
+                   ev.context(n=n, weights=list(w.weights)))
 
 
 def chain_refin(psi: MatrixSet, sigma: MatrixSet, beta: float,
@@ -321,9 +301,7 @@ def chain_refin(psi: MatrixSet, sigma: MatrixSet, beta: float,
                 [(mean_ps_ps, beta), (mean_sp_sp, 1.0 - beta)], EQ),
         ev.link("r(ΨΣ)", [(ps, 1.0)], END),
     )
-    verdict, margins = assess(links)
-    return ChainReport("refin", links, verdict, margins,
-                       context=ev.context(beta=beta))
+    return _report("refin", links, ev.context(beta=beta))
 
 
 def chain_folge(psi: MatrixSet, t: float, n: int,
@@ -342,9 +320,7 @@ def chain_folge(psi: MatrixSet, t: float, n: int,
                   1.0 / n)], LEQ),
         ev.link(f"r(Ψ)^{t:g}", [(psi, t)], END),
     )
-    verdict, margins = assess(links)
-    return ChainReport("folge", links, verdict, margins,
-                       context=ev.context(t=t, n=n))
+    return _report("folge", links, ev.context(t=t, n=n))
 
 
 def chain_kathyprop_eq(psi: MatrixSet, sigma: MatrixSet, w: WeightVector,
@@ -375,9 +351,8 @@ def chain_kathyprop_eq(psi: MatrixSet, sigma: MatrixSet, w: WeightVector,
                  (set_hadamard_mean([sp, sp], half, cap=cap), 1.0 - beta)],
                 END),
     )
-    verdict, margins = assess(links)
-    return ChainReport("kathyprop-eq", links, verdict, margins,
-                       context=ev.context(beta=beta, weights=list(w.weights)))
+    return _report("kathyprop-eq", links,
+                   ev.context(beta=beta, weights=list(w.weights)))
 
 
 def chain_kathyprop_mat(psi: MatrixSet, m: int, alpha: float, n: int,
@@ -389,8 +364,7 @@ def chain_kathyprop_mat(psi: MatrixSet, m: int, alpha: float, n: int,
     if m < 1 or alpha < 1:
         raise ValueError("need m >= 1 and alpha >= 1")
     ev = _Evaluator(depth, norm, tol, budget, cap)
-    ones = WeightVector((1.0,) * m, SUPER) if m > 1 else \
-        WeightVector((1.0,), CONVEX)
+    ones = WeightVector((1.0,) * m, SUPER)
     psin = set_power(psi, n, cap=cap)
     links = [
         ev.link(f"r(Ψ^({m}))", [(set_hadamard_power(psi, float(m)), 1.0)],
@@ -419,27 +393,14 @@ def chain_kathyprop_mat(psi: MatrixSet, m: int, alpha: float, n: int,
     else:
         notes.append("alpha = 1: real-power chain degenerates to identity "
                      "links and is skipped")
-    links = tuple(links)
-    verdict, margins = assess(links)
-    return ChainReport("kathyprop-mat", links, verdict, margins,
-                       notes=tuple(notes),
-                       context=ev.context(m=m, alpha=alpha, n=n))
-
-
-def _row_mean(row, w, cap):
-    return set_hadamard_mean(row, w, cap=cap)
-
-
-def _column_combine(grid, j, combine, cap):
-    col = [row[j] for row in grid]
-    out = col[0]
-    for s in col[1:]:
-        out = combine(out, s)
-    return out
+    return _report("kathyprop-mat", links,
+                   ev.context(m=m, alpha=alpha, n=n), notes)
 
 
 def _chain_grid(theorem_id, grid, w, n, depth, norm, tol, budget, cap,
-                mode, row_combine, col_combine, sum_version):
+                mode, combine, labels):
+    """Grid chain whose rows and columns are combined by ``combine``;
+    ``labels`` name the four links, ``{n}`` standing for the power."""
     grid = [list(row) for row in grid]
     k, m = len(grid), len(grid[0])
     if any(len(row) != m for row in grid):
@@ -449,26 +410,21 @@ def _chain_grid(theorem_id, grid, w, n, depth, norm, tol, budget, cap,
     if mode == "kernel" and w.regime != CONVEX:
         raise ValueError("kernel mode requires convex weights")
     ev = _Evaluator(depth, norm, tol, budget, cap)
-    row_means = [_row_mean(row, w, cap) for row in grid]
-    lhs = row_means[0]
-    for s in row_means[1:]:
-        lhs = row_combine(lhs, s)
-    cols = [_column_combine(grid, j, col_combine, cap) for j in range(m)]
+    lhs = _fold(combine, [set_hadamard_mean(row, w, cap=cap) for row in grid],
+                cap)
+    cols = [_fold(combine, [row[j] for row in grid], cap) for j in range(m)]
     col_mean = set_hadamard_mean(cols, w, cap=cap)
     col_mean_n = set_hadamard_mean([set_power(c, n, cap=cap) for c in cols],
                                    w, cap=cap)
-    opname = "+" if sum_version else "⋯"
     links = (
-        ev.link(f"r({opname}-combined row means)", [(lhs, 1.0)], LEQ),
-        ev.link("r(∘-mean of column combinations)", [(col_mean, 1.0)], LEQ),
-        ev.link(f"r(∘-mean of {n}-th powers)^(1/{n})",
-                [(col_mean_n, 1.0 / n)], LEQ),
-        ev.link("Π r(column)^αj", list(zip(cols, w.weights)), END),
+        ev.link(labels[0], [(lhs, 1.0)], LEQ),
+        ev.link(labels[1], [(col_mean, 1.0)], LEQ),
+        ev.link(labels[2].format(n=n), [(col_mean_n, 1.0 / n)], LEQ),
+        ev.link(labels[3], list(zip(cols, w.weights)), END),
     )
-    verdict, margins = assess(links)
-    return ChainReport(theorem_id, links, verdict, margins,
-                       context=ev.context(k=k, m=m, n=n, mode=mode,
-                                          weights=list(w.weights)))
+    return _report(theorem_id, links,
+                   ev.context(k=k, m=m, n=n, mode=mode,
+                              weights=list(w.weights)))
 
 
 def chain_finally(grid, w: WeightVector, n: int,
@@ -476,9 +432,12 @@ def chain_finally(grid, w: WeightVector, n: int,
                   tol: float = DEFAULT_TOL, budget: int = DEFAULT_WORD_BUDGET,
                   cap: int = MEMBER_CAP, mode: str = "kernel") -> ChainReport:
     """Grid chain with ordinary products across rows."""
-    comb = lambda a, b: set_product(a, b, cap=cap)
     return _chain_grid("finally", grid, w, n, depth, norm, tol, budget, cap,
-                       mode, comb, comb, sum_version=False)
+                       mode, set_product,
+                       ("r(⋯-combined row means)",
+                        "r(∘-mean of column combinations)",
+                        "r(∘-mean of {n}-th powers)^(1/{n})",
+                        "Π r(column)^αj"))
 
 
 def chain_finally2(grid, w: WeightVector, n: int,
@@ -487,32 +446,11 @@ def chain_finally2(grid, w: WeightVector, n: int,
                    budget: int = DEFAULT_WORD_BUDGET,
                    cap: int = MEMBER_CAP, mode: str = "kernel") -> ChainReport:
     """Grid chain with sums across rows."""
-    add = lambda a, b: set_sum(a, b, cap=cap)
-    prod = lambda a, b: set_product(a, b, cap=cap)
-    grid = [list(row) for row in grid]
-    k, m = len(grid), len(grid[0])
-    if mode == "kernel" and w.regime != CONVEX:
-        raise ValueError("kernel mode requires convex weights")
-    ev = _Evaluator(depth, norm, tol, budget, cap)
-    row_means = [_row_mean(row, w, cap) for row in grid]
-    lhs = row_means[0]
-    for s in row_means[1:]:
-        lhs = add(lhs, s)
-    cols = [_column_combine(grid, j, add, cap) for j in range(m)]
-    col_mean = set_hadamard_mean(cols, w, cap=cap)
-    col_mean_n = set_hadamard_mean([set_power(c, n, cap=cap) for c in cols],
-                                   w, cap=cap)
-    links = (
-        ev.link("r(sum of row means)", [(lhs, 1.0)], LEQ),
-        ev.link("r(∘-mean of column sums)", [(col_mean, 1.0)], LEQ),
-        ev.link(f"r(∘-mean of {n}-th powers of column sums)^(1/{n})",
-                [(col_mean_n, 1.0 / n)], LEQ),
-        ev.link("Π r(column sum)^αj", list(zip(cols, w.weights)), END),
-    )
-    verdict, margins = assess(links)
-    return ChainReport("finally2", links, verdict, margins,
-                       context=ev.context(k=k, m=m, n=n, mode=mode,
-                                          weights=list(w.weights)))
+    return _chain_grid("finally2", grid, w, n, depth, norm, tol, budget, cap,
+                       mode, set_sum,
+                       ("r(sum of row means)", "r(∘-mean of column sums)",
+                        "r(∘-mean of {n}-th powers of column sums)^(1/{n})",
+                        "Π r(column sum)^αj"))
 
 
 def chain_kathyth1(sets, n: int, depth: int = DEFAULT_CHAIN_DEPTH,
@@ -536,9 +474,7 @@ def chain_kathyth1(sets, n: int, depth: int = DEFAULT_CHAIN_DEPTH,
                   1.0 / (n * m))], LEQ),
         ev.link(f"r(Ψ1⋯Ψ{m})^(1/{m})", [(phis[0], 1.0 / m)], END),
     )
-    verdict, margins = assess(links)
-    return ChainReport("kathyth1", links, verdict, margins,
-                       context=ev.context(m=m, n=n))
+    return _report("kathyth1", links, ev.context(m=m, n=n))
 
 
 def chain_equalities_joint(sets, w: WeightVector, beta: float,
@@ -554,19 +490,9 @@ def chain_equalities_joint(sets, w: WeightVector, beta: float,
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     ev = _Evaluator(depth, norm, tol, budget, cap)
-
-    def split(s):
-        if beta in (0.0, 1.0):
-            return s
-        return set_hadamard_mean(
-            [s, s], WeightVector((beta, 1.0 - beta)), cap=cap)
-
-    prod = sets[0]
-    for s in sets[1:]:
-        prod = set_product(prod, s, cap=cap)
-    split_prod = split(sets[0])
-    for s in sets[1:]:
-        split_prod = set_product(split_prod, split(s), cap=cap)
+    split = lambda s: _pair_mean(s, s, beta, 1.0 - beta, cap=cap)
+    prod = _fold(set_product, sets, cap)
+    split_prod = _fold(set_product, [split(s) for s in sets], cap)
     phis = [cyclic_factor(sets, j, cap=cap) for j in range(1, m + 1)]
     links = (
         ev.link(f"r(Ψ1⋯Ψ{m})", [(prod, 1.0)], EQ),
@@ -574,10 +500,8 @@ def chain_equalities_joint(sets, w: WeightVector, beta: float,
         ev.link("Π r(Φj^(β)∘Φj^(1-β))^αj",
                 [(split(p), a) for p, a in zip(phis, w.weights)], END),
     )
-    verdict, margins = assess(links)
-    return ChainReport("equalities-joint", links, verdict, margins,
-                       context=ev.context(beta=beta, m=m,
-                                          weights=list(w.weights)))
+    return _report("equalities-joint", links,
+                   ev.context(beta=beta, m=m, weights=list(w.weights)))
 
 
 def chain_kathyth2(sets, alpha: float, n: int,
@@ -592,55 +516,49 @@ def chain_kathyth2(sets, alpha: float, n: int,
     if alpha < 1.0 / m:
         raise ValueError(f"alpha must be >= 1/m = {1.0 / m}")
     ev = _Evaluator(depth, norm, tol, budget, cap)
-    wa = WeightVector((alpha,) * m, SUPER) if m * alpha >= 1 else None
+    wa = WeightVector((alpha,) * m, SUPER)
     phis = [cyclic_factor(sets, j, cap=cap) for j in range(1, m + 1)]
+    phis_n = [set_power(p, n, cap=cap) for p in phis]
     prod = phis[0]
     pow_sets = [set_hadamard_power(s, alpha * m) for s in sets]
-    pow_prod = pow_sets[0]
-    for s in pow_sets[1:]:
-        pow_prod = set_product(pow_prod, s, cap=cap)
     prod_n = set_power(prod, n, cap=cap)
     lhs = ev.link("r(Ψ1^(α)∘⋯∘Ψm^(α))",
                   [(set_hadamard_mean(sets, wa, cap=cap), 1.0)], LEQ)
-    links = [
-        lhs,
-        ev.link(f"r(Φ1^(α)∘⋯)^(1/{m})",
-                [(set_hadamard_mean(phis, wa, cap=cap), 1.0 / m)], LEQ),
-        ev.link(f"r((Φj^{n})^(α) ∘-mean)^(1/{m * n})",
-                [(set_hadamard_mean(
-                    [set_power(p, n, cap=cap) for p in phis], wa, cap=cap),
-                  1.0 / (m * n))], LEQ),
-        ev.link(f"r(Ψ1⋯Ψm)^{alpha:g}", [(prod, alpha)], END),
-        # entrywise-power product route
-        ChainLink(lhs.label, lhs.bracket, LEQ),
-        ev.link(f"r(Ψ1^(αm)⋯Ψm^(αm))^(1/{m})", [(pow_prod, 1.0 / m)], LEQ),
+    end = ev.link(f"r(Ψ1⋯Ψm)^{alpha:g}", [(prod, alpha)], END)
+    # entrywise-power product route, also the tail of the cyclic-power one
+    power_route = [
+        ev.link(f"r(Ψ1^(αm)⋯Ψm^(αm))^(1/{m})",
+                [(_fold(set_product, pow_sets, cap), 1.0 / m)], LEQ),
         ev.link(f"r((Ψ1⋯Ψm)^(αm))^(1/{m})",
                 [(set_hadamard_power(prod, alpha * m), 1.0 / m)], LEQ),
         ev.link(f"r(((Ψ1⋯Ψm)^{n})^(αm))^(1/{n * m})",
                 [(set_hadamard_power(prod_n, alpha * m), 1.0 / (n * m))],
                 LEQ),
-        ev.link(f"r(Ψ1⋯Ψm)^{alpha:g}", [(prod, alpha)], END),
+        end,
     ]
+    mean_phis = ev.link(f"r(Φ1^(α)∘⋯)^(1/{m})",
+                        [(set_hadamard_mean(phis, wa, cap=cap), 1.0 / m)],
+                        LEQ)
+    mean_phis_n = ev.link(f"r((Φj^{n})^(α) ∘-mean)^(1/{m * n})",
+                          [(set_hadamard_mean(phis_n, wa, cap=cap),
+                            1.0 / (m * n))], LEQ)
+    links = [lhs, mean_phis, mean_phis_n, end, lhs, *power_route]
     notes = []
     if alpha >= 1.0:
-        phis_n = [set_power(p, n, cap=cap) for p in phis]
-        links += [
-            ChainLink(lhs.label, lhs.bracket, LEQ),
-            ev.link(f"r(∘-mean of Φj^(α))^(1/{m})",
-                    [(set_hadamard_mean(phis, wa, cap=cap), 1.0 / m)], LEQ),
-            ev.link(f"r(∘-mean of (Φj^{n})^(α))^(1/{m * n})",
-                    [(set_hadamard_mean(phis_n, wa, cap=cap),
-                      1.0 / (m * n))], LEQ),
-            ev.link(f"(Π r((Φj^{n})^({m})))^(α/{m * m * n})",
-                    [(set_hadamard_power(p, float(m)),
-                      alpha / (m * m * n)) for p in phis_n], LEQ),
-            ev.link(f"r(Ψ1⋯Ψm)^{alpha:g}", [(prod, alpha)], END),
-        ]
         sigmas = [cyclic_factor(pow_sets, j, cap=cap)
                   for j in range(1, m + 1)]
         um = uniform_weights(m)
         links += [
-            ChainLink(lhs.label, lhs.bracket, LEQ),
+            lhs,
+            ChainLink(f"r(∘-mean of Φj^(α))^(1/{m})", mean_phis.bracket,
+                      LEQ),
+            ChainLink(f"r(∘-mean of (Φj^{n})^(α))^(1/{m * n})",
+                      mean_phis_n.bracket, LEQ),
+            ev.link(f"(Π r((Φj^{n})^({m})))^(α/{m * m * n})",
+                    [(set_hadamard_power(p, float(m)),
+                      alpha / (m * m * n)) for p in phis_n], LEQ),
+            end,
+            lhs,
             ev.link(f"r(∘-mean of Σj^(1/{m}))^(1/{m})",
                     [(set_hadamard_mean(sigmas, um, cap=cap), 1.0 / m)],
                     LEQ),
@@ -648,23 +566,23 @@ def chain_kathyth2(sets, alpha: float, n: int,
                     [(set_hadamard_mean(
                         [set_power(s, n, cap=cap) for s in sigmas], um,
                         cap=cap), 1.0 / (m * n))], LEQ),
-            ev.link(f"r(Ψ1^(αm)⋯Ψm^(αm))^(1/{m})",
-                    [(pow_prod, 1.0 / m)], LEQ),
-            ev.link(f"r((Ψ1⋯Ψm)^(αm))^(1/{m})",
-                    [(set_hadamard_power(prod, alpha * m), 1.0 / m)], LEQ),
-            ev.link(f"r(((Ψ1⋯Ψm)^{n})^(αm))^(1/{n * m})",
-                    [(set_hadamard_power(prod_n, alpha * m),
-                      1.0 / (n * m))], LEQ),
-            ev.link(f"r(Ψ1⋯Ψm)^{alpha:g}", [(prod, alpha)], END),
+            *power_route,
         ]
     else:
         notes.append("skipped: hypothesis alpha >= 1 not met for the "
                      "diagonal-power and cyclic-power branches")
-    links = tuple(links)
-    verdict, margins = assess(links)
-    return ChainReport("kathyth2", links, verdict, margins,
-                       notes=tuple(notes),
-                       context=ev.context(alpha=alpha, m=m, n=n))
+    return _report("kathyth2", links, ev.context(alpha=alpha, m=m, n=n),
+                   notes)
+
+
+def _sym_exponents(alpha: float, ab) -> tuple[float, float]:
+    """Symmetrization exponents: ``ab`` in matrix mode, else
+    ``(alpha, 1 - alpha)`` for alpha in [0, 1] (kernel mode)."""
+    if ab is not None:
+        return ab
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1] in kernel mode")
+    return alpha, 1.0 - alpha
 
 
 def chain_geom_sym(sets, alpha: float, n: int,
@@ -677,51 +595,24 @@ def chain_geom_sym(sets, alpha: float, n: int,
     the weighted (alpha, beta) matrix-mode variant."""
     sets = list(sets)
     m = len(sets)
-    if ab is None:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1] in kernel mode")
-        a, b = alpha, 1.0 - alpha
-        theorem_id = "geom-sym"
-        sym = lambda s: symmetrize(s, a, cap=cap)
-    else:
-        a, b = ab
-        theorem_id = "geom-sym-mat"
-        sym = lambda s: symmetrize_ab(s, a, b, cap=cap)
-
-    def mix(f, g_adj):
-        """F^(a) ∘ (G*)^(b) with zero exponents dropping the factor."""
-        if b == 0:
-            return set_hadamard_power(f, a) if a != 1 else f
-        if a == 0:
-            return set_hadamard_power(g_adj, b) if b != 1 else g_adj
-        return set_hadamard_mean(
-            [f, g_adj], WeightVector((a, b), SUPER if a + b > 1 else CONVEX),
-            cap=cap)
-
+    a, b = _sym_exponents(alpha, ab)
+    sym = lambda s: symmetrize_ab(s, a, b, cap=cap)
+    # F^(a) ∘ (G*)^(b), a zero exponent dropping its factor
+    mix = lambda f, g: _pair_mean(f, set_adjoint(g), a, b, cap=cap)
     ev = _Evaluator(depth, norm, tol, budget, cap)
-    fwd = sets[0]
-    for s in sets[1:]:
-        fwd = set_product(fwd, s, cap=cap)
-    bwd = sets[-1]
-    for s in reversed(sets[:-1]):
-        bwd = set_product(bwd, s, cap=cap)
-    sym_prod = sym(sets[0])
-    for s in sets[1:]:
-        sym_prod = set_product(sym_prod, sym(s), cap=cap)
-    total = sets[0]
-    for s in sets[1:]:
-        total = set_sum(total, s, cap=cap)
-    sym_sum = sym(sets[0])
-    for s in sets[1:]:
-        sym_sum = set_sum(sym_sum, sym(s), cap=cap)
+    fwd = _fold(set_product, sets, cap)
+    bwd = _fold(set_product, sets[::-1], cap)
+    syms = [sym(s) for s in sets]
+    sym_prod = _fold(set_product, syms, cap)
+    total = _fold(set_sum, sets, cap)
+    sym_sum = _fold(set_sum, syms, cap)
     links = (
         ev.link("r(S(Ψ1)⋯S(Ψm))", [(sym_prod, 1.0)], LEQ),
-        ev.link("r((Ψ1⋯Ψm)^(α)∘((Ψm⋯Ψ1)*)^(β))",
-                [(mix(fwd, set_adjoint(bwd)), 1.0)], LEQ),
+        ev.link("r((Ψ1⋯Ψm)^(α)∘((Ψm⋯Ψ1)*)^(β))", [(mix(fwd, bwd), 1.0)],
+                LEQ),
         ev.link(f"r(n-th power mix)^(1/{n})",
                 [(mix(set_power(fwd, n, cap=cap),
-                      set_adjoint(set_power(bwd, n, cap=cap))), 1.0 / n)],
-                LEQ),
+                      set_power(bwd, n, cap=cap)), 1.0 / n)], LEQ),
         ev.link("r(Ψ1⋯Ψm)^α·r(Ψm⋯Ψ1)^β", [(fwd, a), (bwd, b)], END),
         ev.link("r(S(Ψ1)+⋯+S(Ψm))", [(sym_sum, 1.0)], LEQ),
         ev.link("r(S(Ψ1+⋯+Ψm))", [(sym(total), 1.0)], LEQ),
@@ -729,9 +620,8 @@ def chain_geom_sym(sets, alpha: float, n: int,
                 [(sym(set_power(total, n, cap=cap)), 1.0 / n)], LEQ),
         ev.link("r(Ψ1+⋯+Ψm)^(α+β)", [(total, a + b)], END),
     )
-    verdict, margins = assess(links)
-    return ChainReport(theorem_id, links, verdict, margins,
-                       context=ev.context(alpha=a, beta=b, m=m, n=n))
+    return _report("geom-sym" if ab is None else "geom-sym-mat", links,
+                   ev.context(alpha=a, beta=b, m=m, n=n))
 
 
 def chain_sym_mono(psi: MatrixSet, alpha: float, n_max: int,
@@ -742,24 +632,61 @@ def chain_sym_mono(psi: MatrixSet, alpha: float, n_max: int,
                    ab: tuple[float, float] | None = None) -> ChainReport:
     """Monotone symmetrization sequence chain
     ``r_0 <= r_1 <= ... <= r_n <= r(Ψ)^(α+β)``."""
+    a, b = _sym_exponents(alpha, ab)
     ev = _Evaluator(depth, norm, tol, budget, cap)
-    if ab is None:
-        seq = symmetrization_sequence(psi, alpha, n_max, depth, norm,
-                                      cap=cap, word_budget=budget)
-        a, b = alpha, 1.0 - alpha
-        theorem_id = "sym-mono"
-    else:
-        a, b = ab
-        seq = symmetrization_sequence_ab(psi, a, b, n_max, depth, norm,
-                                         cap=cap, word_budget=budget)
-        theorem_id = "sym-mat"
-    links = tuple(
-        ChainLink(f"r_{n} = r(S(Ψ^{2 ** n}))^(1/{2 ** n})", bracket, LEQ)
-        for n, bracket in seq.levels
-    ) + (ev.link(f"r(Ψ)^{a + b:g}", [(psi, a + b)], END),)
-    verdict, margins = assess(links)
-    return ChainReport(theorem_id, links, verdict, margins,
-                       context=ev.context(alpha=a, beta=b, n_max=n_max))
+    seq = symmetrization_sequence_ab(psi, a, b, n_max, depth, norm,
+                                     cap=cap, word_budget=budget)
+    links = [ChainLink(f"r_{n} = r(S(Ψ^{2 ** n}))^(1/{2 ** n})", bracket,
+                       LEQ) for n, bracket in seq.levels]
+    links.append(ev.link(f"r(Ψ)^{a + b:g}", [(psi, a + b)], END))
+    return _report("sym-mono" if ab is None else "sym-mat", links,
+                   ev.context(alpha=a, beta=b, n_max=n_max))
+
+
+def _run_zhan(p) -> ChainReport:
+    mats = [m for s in p.sets for m in s]
+    if len(mats) < 2:
+        mats = mats * 2
+    tol = p.kw["tol"]
+    pair = chain_zhan(mats[0], mats[1], p.beta, tol=tol)
+    trio = chain_huang(mats[:3], tol=tol)
+    return _report("zhan-chain", pair.links + trio.links,
+                   {"beta": p.beta, "tol": tol})
+
+
+# theorem id -> the chain run on the arguments ``p`` of run_theorem, shaped
+# to the chain's arity; THEOREM_IDS keeps this order
+_THEOREMS = {
+    "zhan-chain": _run_zhan,
+    "powers": lambda p: chain_powers(p.sets, p.wvec(len(p.sets)), p.n,
+                                     **p.kw),
+    "refin": lambda p: chain_refin(p.two[0], p.two[1], p.beta, **p.kw),
+    "folge": lambda p: chain_folge(p.sets[0], max(p.alpha, 1.0), p.n,
+                                   **p.kw),
+    "kathyprop-eq": lambda p: chain_kathyprop_eq(p.two[0], p.two[1],
+                                                 p.wvec(2), p.beta, **p.kw),
+    "kathyprop-mat": lambda p: chain_kathyprop_mat(
+        p.sets[0], 2, max(p.alpha, 1.0), p.n, **p.kw),
+    "finally": lambda p: chain_finally([p.sets, p.sets[::-1]],
+                                       p.wvec(len(p.sets)), p.n, **p.kw),
+    "kathyth1": lambda p: chain_kathyth1(p.sets, p.n, **p.kw),
+    "equalities-joint": lambda p: chain_equalities_joint(
+        p.sets, p.wvec(len(p.sets)), p.beta, **p.kw),
+    "kathyth2": lambda p: chain_kathyth2(
+        p.sets, max(p.alpha, 1.0 / len(p.sets)), p.n, **p.kw),
+    "finally2": lambda p: chain_finally2([p.sets, p.sets[::-1]],
+                                         p.wvec(len(p.sets)), p.n, **p.kw),
+    "sym-mono": lambda p: chain_sym_mono(
+        p.sets[0], min(max(p.alpha, 0.0), 1.0), p.levels, **p.kw),
+    "geom-sym": lambda p: chain_geom_sym(
+        p.sets, min(max(p.alpha, 0.0), 1.0), p.n, **p.kw),
+    "sym-mat": lambda p: chain_sym_mono(p.sets[0], p.alpha, p.levels,
+                                        ab=(p.alpha, p.alpha2), **p.kw),
+    "geom-sym-mat": lambda p: chain_geom_sym(p.sets, p.alpha, p.n,
+                                             ab=(p.alpha, p.alpha2), **p.kw),
+}
+
+THEOREM_IDS = tuple(_THEOREMS)
 
 
 def run_theorem(theorem_id: str, sets, *, depth: int = DEFAULT_CHAIN_DEPTH,
@@ -771,63 +698,22 @@ def run_theorem(theorem_id: str, sets, *, depth: int = DEFAULT_CHAIN_DEPTH,
     """Run a chain by id on the sets of an instance, adapting the instance
     shape to the chain's arity (reusing the last set when a chain needs
     more sets than the instance provides)."""
-    if theorem_id not in THEOREM_IDS:
+    if theorem_id not in _THEOREMS:
         raise KeyError(f"unknown theorem id: {theorem_id!r}")
     sets = list(sets)
     if not sets:
         raise ValueError("instance has no sets")
-    two = sets if len(sets) >= 2 else [sets[0], sets[0]]
-    kw = dict(depth=depth, norm=norm, tol=tol, budget=budget, cap=cap)
 
-    def wvec(m, regime=CONVEX):
+    def wvec(m):
         if weights is not None:
-            return WeightVector(tuple(weights), regime)
-        return uniform_weights(m) if regime == CONVEX else \
-            WeightVector((1.0,) * m, SUPER)
+            return WeightVector(tuple(weights))
+        return uniform_weights(m)
 
-    if theorem_id == "zhan-chain":
-        mats = [m for s in sets for m in s]
-        if len(mats) < 2:
-            mats = mats * 2
-        pair = chain_zhan(mats[0], mats[1], beta, tol=tol)
-        trio = chain_huang(mats[:3] if len(mats) >= 3 else mats[:2],
-                           tol=tol)
-        links = pair.links + trio.links
-        verdict, margins = assess(links)
-        return ChainReport("zhan-chain", links, verdict, margins,
-                           context={"beta": beta, "tol": tol})
-    if theorem_id == "powers":
-        return chain_powers(sets, wvec(len(sets)), n, **kw)
-    if theorem_id == "refin":
-        return chain_refin(two[0], two[1], beta, **kw)
-    if theorem_id == "folge":
-        return chain_folge(sets[0], max(alpha, 1.0), n, **kw)
-    if theorem_id == "kathyprop-eq":
-        return chain_kathyprop_eq(two[0], two[1], wvec(2), beta, **kw)
-    if theorem_id == "kathyprop-mat":
-        return chain_kathyprop_mat(sets[0], 2, max(alpha, 1.0), n, **kw)
-    if theorem_id == "finally":
-        grid = [sets, sets[::-1]] if len(sets) >= 2 else [sets, sets]
-        return chain_finally(grid, wvec(len(sets)), n, **kw)
-    if theorem_id == "finally2":
-        grid = [sets, sets[::-1]] if len(sets) >= 2 else [sets, sets]
-        return chain_finally2(grid, wvec(len(sets)), n, **kw)
-    if theorem_id == "kathyth1":
-        return chain_kathyth1(sets, n, **kw)
-    if theorem_id == "equalities-joint":
-        return chain_equalities_joint(sets, wvec(len(sets)), beta, **kw)
-    if theorem_id == "kathyth2":
-        return chain_kathyth2(sets, max(alpha, 1.0 / len(sets)), n, **kw)
-    if theorem_id == "sym-mono":
-        return chain_sym_mono(sets[0], min(max(alpha, 0.0), 1.0), levels,
-                              **kw)
-    if theorem_id == "sym-mat":
-        return chain_sym_mono(sets[0], alpha, levels,
-                              ab=(alpha, alpha2), **kw)
-    if theorem_id == "geom-sym":
-        return chain_geom_sym(sets, min(max(alpha, 0.0), 1.0), n, **kw)
-    # geom-sym-mat
-    return chain_geom_sym(sets, alpha, n, ab=(alpha, alpha2), **kw)
+    two = sets if len(sets) >= 2 else [sets[0], sets[0]]
+    return _THEOREMS[theorem_id](SimpleNamespace(
+        sets=sets, two=two, wvec=wvec, alpha=alpha, alpha2=alpha2, beta=beta,
+        n=n, levels=levels,
+        kw=dict(depth=depth, norm=norm, tol=tol, budget=budget, cap=cap)))
 
 
 def scalar_mitr_check(vectors, exponents, *, tol: float = 1e-12) -> bool:

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import CapExceeded, SoundnessError
 from .matrices import (COL_SUM, DEFAULT_TOL, ROW_SUM, SPECTRAL, RadiusBracket,
                        spectral_radius_bracket)
-from .sets import MEMBER_CAP, MatrixSet, dedupe, set_power, symmetrize, \
-    symmetrize_ab
+from .sets import MEMBER_CAP, MatrixSet, dedupe, set_power, symmetrize_ab
 
 WORD_CAP = 200_000
 _SPECTRAL_TOL = 1e-12
@@ -331,28 +330,6 @@ def gelfand_sequence(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
     return GelfandSequence(tuple(entries), kind)
 
 
-def _symmetrization_levels(psi: MatrixSet, make_level, n_max: int,
-                           depth: int, kind: str, tol: float,
-                           cap: int, word_budget: int):
-    """Shared driver: uniform search depth across levels keeps the
-    finite-depth lower maxima provably monotone (each length-2m word over
-    ``S(psi^(2^n))`` is entrywise dominated by a length-m word over
-    ``S(psi^(2^(n+1)))``)."""
-    level_sets = []
-    for n in range(n_max + 1):
-        power = set_power(psi, 2 ** n, cap=cap)
-        level_sets.append(_dedupe_fast(make_level(power)))
-    d = min([depth] + [_feasible_depth(len(s), word_budget)
-                       for s in level_sets])
-    d = max(d, 1)
-    out = []
-    for n, s in enumerate(level_sets):
-        b = radius_bracket_set(s, d, kind, tol=tol, cap=cap,
-                               word_budget=word_budget)
-        out.append((n, b.powered(2.0 ** -n)))
-    return tuple(out)
-
-
 def symmetrization_sequence(psi: MatrixSet, alpha: float, n_max: int,
                             depth: int, kind: str = ROW_SUM, *,
                             tol: float = 1e-12, cap: int = MEMBER_CAP,
@@ -361,10 +338,10 @@ def symmetrization_sequence(psi: MatrixSet, alpha: float, n_max: int,
     """Monotone bound sequence ``r_n = r(S_alpha(psi^(2^n)))^(2^-n)``."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    levels = _symmetrization_levels(
-        psi, lambda p: symmetrize(p, alpha, cap=cap), n_max, depth, kind,
-        tol, cap, word_budget)
-    return SymmetrizationSequence(alpha, None, levels)
+    seq = symmetrization_sequence_ab(psi, alpha, 1.0 - alpha, n_max, depth,
+                                     kind, tol=tol, cap=cap,
+                                     word_budget=word_budget)
+    return SymmetrizationSequence(alpha, None, seq.levels)
 
 
 def symmetrization_sequence_ab(psi: MatrixSet, alpha: float, beta: float,
@@ -374,8 +351,22 @@ def symmetrization_sequence_ab(psi: MatrixSet, alpha: float, beta: float,
                                ) -> SymmetrizationSequence:
     """Weighted variant ``r_n = r(S_{alpha,beta}(psi^(2^n)))^(2^-n)`` for
     ``alpha + beta >= 1``; the terminal comparison target is
-    ``r(psi)^(alpha+beta)``."""
-    levels = _symmetrization_levels(
-        psi, lambda p: symmetrize_ab(p, alpha, beta, cap=cap), n_max, depth,
-        kind, tol, cap, word_budget)
-    return SymmetrizationSequence(alpha, beta, levels)
+    ``r(psi)^(alpha+beta)``.
+
+    A uniform search depth across levels keeps the finite-depth lower
+    maxima provably monotone (each length-2m word over ``S(psi^(2^n))`` is
+    entrywise dominated by a length-m word over ``S(psi^(2^(n+1)))``).
+    """
+    level_sets = [
+        _dedupe_fast(symmetrize_ab(set_power(psi, 2 ** n, cap=cap), alpha,
+                                   beta, cap=cap))
+        for n in range(n_max + 1)]
+    d = min([depth] + [_feasible_depth(len(s), word_budget)
+                       for s in level_sets])
+    d = max(d, 1)
+    levels = []
+    for n, s in enumerate(level_sets):
+        b = radius_bracket_set(s, d, kind, tol=tol, cap=cap,
+                               word_budget=word_budget)
+        levels.append((n, b.powered(2.0 ** -n)))
+    return SymmetrizationSequence(alpha, beta, tuple(levels))

@@ -124,15 +124,20 @@ def set_product(psi: MatrixSet, sigma: MatrixSet,
     return MatrixSet(prod.reshape(-1, n, n))
 
 
+def _fold(op, sets, cap: int) -> MatrixSet:
+    """``op(...op(op(s1, s2), s3)..., sm)``, e.g. the product ``s1⋯sm``."""
+    out = sets[0]
+    for s in sets[1:]:
+        out = op(out, s, cap=cap)
+    return out
+
+
 def set_power(sigma: MatrixSet, m: int, cap: int = MEMBER_CAP) -> MatrixSet:
     """All length-``m`` products of members of ``sigma``, left to right."""
     if m < 1:
         raise ValueError("set power requires m >= 1")
     _check_cap(len(sigma) ** m, cap)
-    out = sigma
-    for _ in range(m - 1):
-        out = set_product(out, sigma, cap=cap)
-    return out
+    return _fold(set_product, [sigma] * m, cap)
 
 
 def set_hadamard_power(psi: MatrixSet, t: float) -> MatrixSet:
@@ -192,11 +197,20 @@ def cyclic_factor(sets, j: int, cap: int = MEMBER_CAP) -> MatrixSet:
     m = len(sets)
     if not 1 <= j <= m:
         raise ValueError(f"cyclic index {j} out of range 1..{m}")
-    order = sets[j - 1:] + sets[:j - 1]
-    out = order[0]
-    for s in order[1:]:
-        out = set_product(out, s, cap=cap)
-    return out
+    return _fold(set_product, sets[j - 1:] + sets[:j - 1], cap)
+
+
+def _pair_mean(f: MatrixSet, g: MatrixSet, a: float, b: float,
+               cap: int = MEMBER_CAP) -> MatrixSet:
+    """``{F**(a) o G**(b) : F in f, G in g}`` for ``a + b >= 1``, with the
+    missing factor convention of :func:`symmetrize_ab`."""
+    if b == 0:
+        return set_hadamard_power(f, a) if a != 1 else f
+    if a == 0:
+        return set_hadamard_power(g, b) if b != 1 else g
+    return set_hadamard_mean(
+        [f, g], WeightVector((a, b), SUPER if a + b > 1 else CONVEX),
+        cap=cap)
 
 
 def symmetrize_ab(psi: MatrixSet, alpha: float, beta: float,
@@ -214,17 +228,7 @@ def symmetrize_ab(psi: MatrixSet, alpha: float, beta: float,
         raise RegimeError(
             f"symmetrization requires alpha + beta >= 1, got "
             f"{alpha} + {beta}")
-    if beta == 0:
-        return set_hadamard_power(psi, alpha) if alpha != 1 else psi
-    if alpha == 0:
-        adj = set_adjoint(psi)
-        return set_hadamard_power(adj, beta) if beta != 1 else adj
-    _check_cap(len(psi) ** 2, cap)
-    n = psi.dim
-    left = psi.members ** alpha
-    right = psi.members.transpose(0, 2, 1) ** beta
-    out = (left[:, None] * right[None, :]).reshape(-1, n, n)
-    return MatrixSet(out)
+    return _pair_mean(psi, set_adjoint(psi), alpha, beta, cap=cap)
 
 
 def symmetrize(psi: MatrixSet, alpha: float,
