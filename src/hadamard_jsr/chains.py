@@ -10,7 +10,7 @@ implementation bug and must be loud.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from types import SimpleNamespace
 
@@ -22,9 +22,10 @@ from .matrices import (DEFAULT_TOL, ROW_SUM, RadiusBracket, check_matrix,
                        weighted_hadamard_geometric_mean)
 from .radius import radius_bracket_set, symmetrization_sequence_ab
 from .sets import (CONVEX, SUPER, MEMBER_CAP, MatrixSet, WeightVector,
-                   _fold, _pair_mean, cyclic_factor, set_adjoint,
-                   set_hadamard_mean, set_hadamard_power, set_power,
-                   set_product, set_sum, symmetrize_ab, uniform_weights)
+                   _fold, _kernel_exponents, _pair_mean, cyclic_factor,
+                   set_adjoint, set_hadamard_mean, set_hadamard_power,
+                   set_power, set_product, set_sum, symmetrize_ab,
+                   uniform_weights)
 
 VERIFIED = "verified"
 INDETERMINATE = "indeterminate"
@@ -38,6 +39,8 @@ VERDICT_TOL = 1e-9
 
 DEFAULT_CHAIN_DEPTH = 8
 DEFAULT_WORD_BUDGET = 20_000
+
+_HALF = WeightVector((0.5, 0.5))
 
 
 @dataclass(frozen=True)
@@ -57,21 +60,7 @@ class ChainReport:
     context: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "links": [
-                {"label": l.label,
-                 "bracket": {"lo": l.bracket.lo, "hi": l.bracket.hi,
-                             "depth": l.bracket.depth,
-                             "norm": l.bracket.norm},
-                 "relation_to_next": l.relation_to_next}
-                for l in self.links
-            ],
-            "verdict": self.verdict,
-            "margins": list(self.margins),
-            "notes": list(self.notes),
-            "context": self.context,
-        }
+        return asdict(self)
 
 
 class _Evaluator:
@@ -269,6 +258,15 @@ def chain_powers(sets, w: WeightVector, n: int,
                    ev.context(n=n, weights=list(w.weights)))
 
 
+def _pair_sets(psi: MatrixSet, sigma: MatrixSet, cap: int):
+    """ΨΣ, ΣΨ, (Ψ∘-sq)(Σ∘-sq), ΨΣ∘-sq and ΣΨ∘-sq, where ``X∘-sq`` is the
+    Hadamard mean of ``X`` with itself at weights (1/2, 1/2)."""
+    sq = lambda s: set_hadamard_mean([s, s], _HALF, cap=cap)
+    ps = set_product(psi, sigma, cap=cap)
+    sp = set_product(sigma, psi, cap=cap)
+    return ps, sp, set_product(sq(psi), sq(sigma), cap=cap), sq(ps), sq(sp)
+
+
 def chain_refin(psi: MatrixSet, sigma: MatrixSet, beta: float,
                 depth: int = DEFAULT_CHAIN_DEPTH, norm: str = ROW_SUM, *,
                 tol: float = DEFAULT_TOL, budget: int = DEFAULT_WORD_BUDGET,
@@ -277,16 +275,9 @@ def chain_refin(psi: MatrixSet, sigma: MatrixSet, beta: float,
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     ev = _Evaluator(depth, norm, tol, budget, cap)
-    half = WeightVector((0.5, 0.5))
-    ps = set_product(psi, sigma, cap=cap)
-    sp = set_product(sigma, psi, cap=cap)
-    mean_psig = set_hadamard_mean([psi, sigma], half, cap=cap)
-    mean_ps_sp = set_hadamard_mean([ps, sp], half, cap=cap)
-    mean_ps_ps = set_hadamard_mean([ps, ps], half, cap=cap)
-    mean_sp_sp = set_hadamard_mean([sp, sp], half, cap=cap)
-    mean_pp = set_hadamard_mean([psi, psi], half, cap=cap)
-    mean_ss = set_hadamard_mean([sigma, sigma], half, cap=cap)
-    prod_means = set_product(mean_pp, mean_ss, cap=cap)
+    ps, sp, prod_means, mean_ps_ps, mean_sp_sp = _pair_sets(psi, sigma, cap)
+    mean_psig = set_hadamard_mean([psi, sigma], _HALF, cap=cap)
+    mean_ps_sp = set_hadamard_mean([ps, sp], _HALF, cap=cap)
     links = (
         # first chain, scaled to the r(ΨΣ) level (exponent 2 on every link)
         ev.link("r(Ψ^(1/2)∘Σ^(1/2))²", [(mean_psig, 2.0)], LEQ),
@@ -333,23 +324,15 @@ def chain_kathyprop_eq(psi: MatrixSet, sigma: MatrixSet, w: WeightVector,
     if w.regime != CONVEX:
         raise ValueError("the self-mean equality requires convex weights")
     ev = _Evaluator(depth, norm, tol, budget, cap)
-    m = len(w)
-    half = WeightVector((0.5, 0.5))
-    self_mean = set_hadamard_mean([psi] * m, w, cap=cap)
-    ps = set_product(psi, sigma, cap=cap)
-    sp = set_product(sigma, psi, cap=cap)
-    mean_pp = set_hadamard_mean([psi, psi], half, cap=cap)
-    mean_ss = set_hadamard_mean([sigma, sigma], half, cap=cap)
+    self_mean = set_hadamard_mean([psi] * len(w), w, cap=cap)
+    ps, _, prod_means, mean_ps_ps, mean_sp_sp = _pair_sets(psi, sigma, cap)
     links = (
         ev.link("r(Ψ)", [(psi, 1.0)], EQ),
         ev.link("r(Ψ^(α1)∘…∘Ψ^(αm))", [(self_mean, 1.0)], END),
         ev.link("r(ΨΣ)", [(ps, 1.0)], EQ),
-        ev.link("r((Ψ∘-sq)(Σ∘-sq))",
-                [(set_product(mean_pp, mean_ss, cap=cap), 1.0)], EQ),
+        ev.link("r((Ψ∘-sq)(Σ∘-sq))", [(prod_means, 1.0)], EQ),
         ev.link("r(ΨΣ∘-sq)^β·r(ΣΨ∘-sq)^(1-β)",
-                [(set_hadamard_mean([ps, ps], half, cap=cap), beta),
-                 (set_hadamard_mean([sp, sp], half, cap=cap), 1.0 - beta)],
-                END),
+                [(mean_ps_ps, beta), (mean_sp_sp, 1.0 - beta)], END),
     )
     return _report("kathyprop-eq", links,
                    ev.context(beta=beta, weights=list(w.weights)))
@@ -575,16 +558,6 @@ def chain_kathyth2(sets, alpha: float, n: int,
                    notes)
 
 
-def _sym_exponents(alpha: float, ab) -> tuple[float, float]:
-    """Symmetrization exponents: ``ab`` in matrix mode, else
-    ``(alpha, 1 - alpha)`` for alpha in [0, 1] (kernel mode)."""
-    if ab is not None:
-        return ab
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1] in kernel mode")
-    return alpha, 1.0 - alpha
-
-
 def chain_geom_sym(sets, alpha: float, n: int,
                    depth: int = DEFAULT_CHAIN_DEPTH, norm: str = ROW_SUM, *,
                    tol: float = DEFAULT_TOL,
@@ -595,7 +568,7 @@ def chain_geom_sym(sets, alpha: float, n: int,
     the weighted (alpha, beta) matrix-mode variant."""
     sets = list(sets)
     m = len(sets)
-    a, b = _sym_exponents(alpha, ab)
+    a, b = _kernel_exponents(alpha) if ab is None else ab
     sym = lambda s: symmetrize_ab(s, a, b, cap=cap)
     # F^(a) ∘ (G*)^(b), a zero exponent dropping its factor
     mix = lambda f, g: _pair_mean(f, set_adjoint(g), a, b, cap=cap)
@@ -632,7 +605,7 @@ def chain_sym_mono(psi: MatrixSet, alpha: float, n_max: int,
                    ab: tuple[float, float] | None = None) -> ChainReport:
     """Monotone symmetrization sequence chain
     ``r_0 <= r_1 <= ... <= r_n <= r(Ψ)^(α+β)``."""
-    a, b = _sym_exponents(alpha, ab)
+    a, b = _kernel_exponents(alpha) if ab is None else ab
     ev = _Evaluator(depth, norm, tol, budget, cap)
     seq = symmetrization_sequence_ab(psi, a, b, n_max, depth, norm,
                                      cap=cap, word_budget=budget)

@@ -7,8 +7,8 @@ per-depth bound table as CSV), ``chain`` (one chain report as JSON),
 
 Exit codes: 0 success (including indeterminate chains, which carry a
 note), 2 a chain was violated, 3 an enumeration/member cap was exceeded,
-4 instance parse errors.  Identical argv plus identical input files yield
-byte-identical output.
+4 invalid input: an instance file or an option value.  Identical argv plus
+identical input files yield byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import sys
 
 from .chains import (DEFAULT_WORD_BUDGET, THEOREM_IDS, VIOLATED, run_theorem)
-from .errors import CapExceeded, InstanceFormatError
+from .errors import CapExceeded
 from .matrices import COL_SUM, ROW_SUM, SPECTRAL
 from .instances import GeneratorParams, generate_instance, parse_instance, \
     serialize_instance
@@ -132,10 +132,8 @@ def _cmd_radius(args) -> int:
     seq = gelfand_sequence(sets[0], args.depth, _NORMS[args.norm],
                            word_budget=args.budget)
     lines = ["m,lower_m,upper_m,lower_envelope,upper_envelope"]
-    lo_env, hi_env = 0.0, float("inf")
-    for m, lo, hi in seq.entries:
-        lo_env = max(lo_env, lo)
-        hi_env = min(hi_env, hi)
+    for (m, lo, hi), lo_env, hi_env in zip(seq.entries, seq.lower_envelope(),
+                                           seq.upper_envelope()):
         lines.append(f"{m},{lo!r},{hi!r},{lo_env!r},{hi_env!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -208,7 +206,7 @@ def run_command(argv) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (InstanceFormatError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

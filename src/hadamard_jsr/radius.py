@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, SoundnessError
-from .matrices import (COL_SUM, DEFAULT_TOL, ROW_SUM, SPECTRAL, RadiusBracket,
-                       spectral_radius_bracket)
-from .sets import MEMBER_CAP, MatrixSet, dedupe, set_power, symmetrize_ab
+from .matrices import (_SPECTRAL_TOL, COL_SUM, DEFAULT_TOL, ROW_SUM, SPECTRAL,
+                       RadiusBracket, _batch_bracket, spectral_radius_bracket)
+from .sets import (MEMBER_CAP, MatrixSet, _kernel_exponents, _pairwise,
+                   dedupe, set_power, symmetrize_ab)
 
 WORD_CAP = 200_000
-_SPECTRAL_TOL = 1e-12
-_COARSE_SQUARINGS = 10
 _MAX_REFINE = 2000
+_REFINE_SLACK = 1e-10  # refinement stops within this of the best log radius
 
 
 @dataclass(frozen=True)
@@ -71,60 +71,19 @@ def _normalize_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, logs
 
 
-def _batch_bracket(batch: np.ndarray, tol: float = 1e-6,
-                   squarings: int = _COARSE_SQUARINGS):
-    """Vectorized Collatz-Wielandt brackets for ``rho`` of every slice.
-
-    Always sound; tight only for slices whose primitive shift converges
-    within the squaring budget (reducible slices may stay loose on the
-    lower side, which refinement repairs).
-    """
-    k, n, _ = batch.shape
-    if n == 1:
-        v = batch[:, 0, 0]
-        return v.copy(), v.copy()
-    best_lo = np.zeros(k)
-    best_hi = np.full(k, np.inf)
-    p = batch + np.eye(n)
-    q = p / p.reshape(k, -1).max(axis=1)[:, None, None]
-    active = np.arange(k)
-    for _ in range(squarings):
-        # The diagonal of q is mathematically positive but can underflow
-        # to zero under repeated squaring; clamping keeps x a valid
-        # positive test vector.
-        x = np.maximum(q.sum(axis=2), 1e-300)
-        ratios = np.einsum("kij,kj->ki", p, x) / x
-        lo_a = np.maximum(best_lo[active], ratios.min(axis=1))
-        hi_a = np.minimum(best_hi[active], ratios.max(axis=1))
-        best_lo[active] = lo_a
-        best_hi[active] = hi_a
-        # drop converged slices from the squaring loop
-        open_mask = hi_a - lo_a > tol * np.maximum(1.0, hi_a - 1.0)
-        if not open_mask.any():
-            break
-        if not open_mask.all():
-            active = active[open_mask]
-            p = p[open_mask]
-            q = q[open_mask]
-        q = np.matmul(q, q)
-        q /= q.reshape(len(active), -1).max(axis=1)[:, None, None]
-    lo = np.maximum(best_lo - 1.0, 0.0)
-    hi = np.maximum(best_hi - 1.0, lo)
-    return lo, hi
+def _word_count(k: int, depth: int) -> int:
+    """Number of words of length 1..depth over k letters, sum_{m<=d} k**m."""
+    return depth if k == 1 else (k ** (depth + 1) - k) // (k - 1)
 
 
 def _feasible_depth(k: int, budget: int) -> int:
-    """Largest depth d with sum_{m<=d} k**m <= budget (at least 1)."""
+    """Largest depth d <= 64 with at most ``budget`` words (at least 1)."""
     if k <= 1:
         return 64
-    d, total, level = 0, 0, 1
-    while d < 64:
-        level *= k
-        total += level
-        if total > budget and d >= 1:
-            break
+    d = 1
+    while d < 64 and _word_count(k, d + 1) <= budget:
         d += 1
-    return max(d, 1)
+    return d
 
 
 def _digits(idx: int, k: int, m: int) -> tuple[int, ...]:
@@ -162,6 +121,12 @@ class _Level:
     norm_log: float       # log of the largest word norm at this depth
 
 
+def _log0(x: np.ndarray) -> np.ndarray:
+    """Elementwise log with ``log 0 = -inf`` (positive values are clamped to
+    1e-300 first)."""
+    return np.where(x > 0, np.log(np.maximum(x, 1e-300)), -np.inf)
+
+
 def _norm_logs(batch: np.ndarray, logs: np.ndarray, kind: str) -> np.ndarray:
     if kind == ROW_SUM:
         vals = batch.sum(axis=2).max(axis=1)
@@ -173,9 +138,7 @@ def _norm_logs(batch: np.ndarray, logs: np.ndarray, kind: str) -> np.ndarray:
         vals = np.sqrt(hi) * (1.0 + _SPECTRAL_TOL)
     else:
         raise ValueError(f"unknown norm kind {kind!r}")
-    with np.errstate(divide="ignore"):
-        return np.where(vals > 0, np.log(np.maximum(vals, 1e-300)),
-                        -np.inf) + logs
+    return _log0(vals) + logs
 
 
 def _dedupe_fast(sigma: MatrixSet) -> MatrixSet:
@@ -184,49 +147,47 @@ def _dedupe_fast(sigma: MatrixSet) -> MatrixSet:
     return dedupe(sigma) if len(sigma) <= 4096 else sigma
 
 
-def _scan(members: np.ndarray, depth: int, kind: str, cap: int,
-          word_budget: int | None) -> list[_Level]:
-    """Enumerate word products level by level and bracket each word."""
+def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
+          word_budget: int | None, *, skip_single: bool = False):
+    """Deduped members of ``sigma`` and the bracketed words of every length
+    ``m <= depth``, as ``(members, levels)``.
+
+    With a ``word_budget`` the depth is cut to fit it; without one, a depth
+    needing more than ``cap`` words raises ``CapExceeded``.  With
+    ``skip_single`` a one-member set gets no levels.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    members = _dedupe_fast(sigma).members
     k = members.shape[0]
+    if k == 1 and skip_single:
+        return members, []
     if word_budget is not None:
         depth = min(depth, _feasible_depth(k, word_budget))
-    else:
-        total, level = 0, 1
-        for _ in range(depth):
-            level *= k
-            total += level
-            if total > cap:
-                raise CapExceeded(
-                    f"enumerating {k} matrices to depth {depth} needs more "
-                    f"than {cap} words", cap=cap)
+    # every level adds a word, so counting past depth cap + 1 is moot
+    elif _word_count(k, min(depth, cap + 1)) > cap:
+        raise CapExceeded(
+            f"enumerating {k} matrices to depth {depth} needs more than "
+            f"{cap} words", cap=cap)
     base, base_logs = _normalize_batch(np.array(members))
     batch, logs = base, base_logs
     levels = []
     for m in range(1, depth + 1):
         if m > 1:
-            n = batch.shape[1]
-            batch = np.matmul(batch[:, None], base[None, :]).reshape(-1, n, n)
-            logs = (logs[:, None] + base_logs[None, :]).reshape(-1)
-            batch, extra = _normalize_batch(batch)
-            logs = logs + extra
+            batch, extra = _normalize_batch(_pairwise(np.matmul, batch, base))
+            logs = (logs[:, None] + base_logs[None, :]).reshape(-1) + extra
         lo, hi = _batch_bracket(batch)
-        with np.errstate(divide="ignore"):
-            lo_log = np.where(lo > 0, np.log(np.maximum(lo, 1e-300)),
-                              -np.inf) + logs
-            hi_log = np.where(hi > 0, np.log(np.maximum(hi, 1e-300)),
-                              -np.inf) + logs
-        levels.append(_Level(m, lo_log, hi_log,
+        levels.append(_Level(m, _log0(lo) + logs, _log0(hi) + logs,
                              float(np.max(_norm_logs(batch, logs, kind)))))
-    return levels
+    return members, levels
 
 
-def _refine_best(members: np.ndarray, levels, tol: float,
-                 slack: float = 1e-10):
+def _refine_best(members: np.ndarray, levels, tol: float):
     """Exact-bracket refinement of the maximizing words.
 
-    Returns ``(best_log, (m, digits))`` where ``best_log`` is the log of the
-    certified maximum of ``rho(word)^(1/m)`` over all scanned words, within
-    ``slack`` of the true maximum.
+    Returns ``(lower, (m, digits))`` where ``lower`` is the certified
+    maximum of ``rho(word)^(1/m)`` over all scanned words, within
+    ``_REFINE_SLACK`` of the true maximum in log scale.
     """
     k = members.shape[0]
     best_log = -math.inf
@@ -243,7 +204,7 @@ def _refine_best(members: np.ndarray, levels, tol: float,
     candidates.sort(reverse=True)
     refined = 0
     for hi_val, m, i in candidates:
-        if hi_val <= best_log + slack or refined >= _MAX_REFINE:
+        if hi_val <= best_log + _REFINE_SLACK or refined >= _MAX_REFINE:
             break
         word = _digits(i, k, m)
         mat, logscale = _word_matrix(members, word)
@@ -256,7 +217,12 @@ def _refine_best(members: np.ndarray, levels, tol: float,
             if val > best_log:
                 best_log = val
                 witness = (m, word)
-    return best_log, witness
+    return math.exp(best_log), witness
+
+
+def _norm_bound(levels) -> float:
+    """Certified upper bound ``min_m (max_{|w| = m} ||w||)^(1/m)``."""
+    return math.exp(min(lev.norm_log / lev.m for lev in levels))
 
 
 def _witness_text(name: str | None, m: int, digits) -> str:
@@ -272,13 +238,9 @@ def gen_radius_lower(sigma: MatrixSet, depth: int, *,
     rho(w)^(1/m)`` for the generalized spectral radius, with a witness
     naming the maximizing word (indices refer to the deduped, canonically
     ordered member list)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    ms = _dedupe_fast(sigma)
-    levels = _scan(ms.members, depth, ROW_SUM, cap, word_budget)
-    best_log, (m, word) = _refine_best(ms.members, levels, tol)
-    return math.exp(best_log) if best_log > -math.inf else 0.0, \
-        _witness_text(sigma.name, m, word)
+    members, levels = _scan(sigma, depth, ROW_SUM, cap, word_budget)
+    lower, (m, word) = _refine_best(members, levels, tol)
+    return lower, _witness_text(sigma.name, m, word)
 
 
 def joint_radius_upper(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
@@ -286,12 +248,7 @@ def joint_radius_upper(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
                        word_budget: int | None = None) -> float:
     """Certified upper bound ``min_{m<=depth} (max_{w in sigma^m}
     ||w||)^(1/m)`` for the joint spectral radius."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    ms = _dedupe_fast(sigma)
-    levels = _scan(ms.members, depth, kind, cap, word_budget)
-    best = min(lev.norm_log / lev.m for lev in levels)
-    return math.exp(best) if best > -math.inf else 0.0
+    return _norm_bound(_scan(sigma, depth, kind, cap, word_budget)[1])
 
 
 def radius_bracket_set(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
@@ -299,15 +256,13 @@ def radius_bracket_set(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
                        word_budget: int | None = None) -> RadiusBracket:
     """Simultaneous bracket for the generalized and joint spectral radius
     (they coincide for finite sets of finite matrices)."""
-    ms = _dedupe_fast(sigma)
-    if len(ms) == 1:
-        b = spectral_radius_bracket(ms.members[0], tol=tol)
+    members, levels = _scan(sigma, depth, kind, cap, word_budget,
+                            skip_single=True)
+    if not levels:
+        b = spectral_radius_bracket(members[0], tol=tol)
         return RadiusBracket(b.lo, b.hi, depth, kind)
-    levels = _scan(ms.members, depth, kind, cap, word_budget)
-    best_log, _ = _refine_best(ms.members, levels, tol)
-    lo = math.exp(best_log) if best_log > -math.inf else 0.0
-    up = min(lev.norm_log / lev.m for lev in levels)
-    hi = math.exp(up) if up > -math.inf else 0.0
+    lo = _refine_best(members, levels, tol)[0]
+    hi = _norm_bound(levels)
     if lo > hi + tol * max(1.0, hi):
         raise SoundnessError(
             f"certified lower bound {lo} exceeds certified upper bound {hi}")
@@ -318,16 +273,10 @@ def gelfand_sequence(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
                      tol: float = DEFAULT_TOL, cap: int = WORD_CAP,
                      word_budget: int | None = None) -> GelfandSequence:
     """Per-depth lower and upper values (not the running envelopes)."""
-    ms = _dedupe_fast(sigma)
-    levels = _scan(ms.members, depth, kind, cap, word_budget)
-    entries = []
-    for lev in levels:
-        best_log, _ = _refine_best(ms.members, [lev], tol)
-        lower = math.exp(best_log) if best_log > -math.inf else 0.0
-        upper = math.exp(lev.norm_log / lev.m) \
-            if lev.norm_log > -math.inf else 0.0
-        entries.append((lev.m, lower, upper))
-    return GelfandSequence(tuple(entries), kind)
+    members, levels = _scan(sigma, depth, kind, cap, word_budget)
+    return GelfandSequence(tuple(
+        (lev.m, _refine_best(members, [lev], tol)[0], _norm_bound([lev]))
+        for lev in levels), kind)
 
 
 def symmetrization_sequence(psi: MatrixSet, alpha: float, n_max: int,
@@ -336,11 +285,9 @@ def symmetrization_sequence(psi: MatrixSet, alpha: float, n_max: int,
                             word_budget: int = 20_000
                             ) -> SymmetrizationSequence:
     """Monotone bound sequence ``r_n = r(S_alpha(psi^(2^n)))^(2^-n)``."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    seq = symmetrization_sequence_ab(psi, alpha, 1.0 - alpha, n_max, depth,
-                                     kind, tol=tol, cap=cap,
-                                     word_budget=word_budget)
+    a, b = _kernel_exponents(alpha)
+    seq = symmetrization_sequence_ab(psi, a, b, n_max, depth, kind, tol=tol,
+                                     cap=cap, word_budget=word_budget)
     return SymmetrizationSequence(alpha, None, seq.levels)
 
 
@@ -363,7 +310,6 @@ def symmetrization_sequence_ab(psi: MatrixSet, alpha: float, beta: float,
         for n in range(n_max + 1)]
     d = min([depth] + [_feasible_depth(len(s), word_budget)
                        for s in level_sets])
-    d = max(d, 1)
     levels = []
     for n, s in enumerate(level_sets):
         b = radius_bracket_set(s, d, kind, tol=tol, cap=cap,

@@ -114,14 +114,19 @@ def _check_cap(count: int, cap: int) -> None:
             f"cap of {cap}", cap=cap)
 
 
+def _pairwise(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``op(A, B)`` for every pair of slices of the stacks ``a`` and ``b``,
+    as one stack with ``b``'s index running fastest."""
+    n = a.shape[1]
+    return op(a[:, None], b[None, :]).reshape(-1, n, n)
+
+
 def set_product(psi: MatrixSet, sigma: MatrixSet,
                 cap: int = MEMBER_CAP) -> MatrixSet:
     """All pairwise products ``{A @ B : A in psi, B in sigma}``."""
     _check_dims(psi, sigma)
     _check_cap(len(psi) * len(sigma), cap)
-    n = psi.dim
-    prod = np.matmul(psi.members[:, None], sigma.members[None, :])
-    return MatrixSet(prod.reshape(-1, n, n))
+    return MatrixSet(_pairwise(np.matmul, psi.members, sigma.members))
 
 
 def _fold(op, sets, cap: int) -> MatrixSet:
@@ -167,11 +172,9 @@ def set_hadamard_mean(sets, w: WeightVector,
     for s in sets:
         count *= len(s)
     _check_cap(count, cap)
-    n = sets[0].dim
     batch = sets[0].members ** w.weights[0]
     for s, wk in zip(sets[1:], w.weights[1:]):
-        powered = s.members ** wk
-        batch = (batch[:, None] * powered[None, :]).reshape(-1, n, n)
+        batch = _pairwise(np.multiply, batch, s.members ** wk)
     return MatrixSet(batch)
 
 
@@ -180,9 +183,7 @@ def set_sum(psi: MatrixSet, sigma: MatrixSet,
     """All pairwise sums ``{A + B : A in psi, B in sigma}``."""
     _check_dims(psi, sigma)
     _check_cap(len(psi) * len(sigma), cap)
-    n = psi.dim
-    out = psi.members[:, None] + sigma.members[None, :]
-    return MatrixSet(out.reshape(-1, n, n))
+    return MatrixSet(_pairwise(np.add, psi.members, sigma.members))
 
 
 def set_adjoint(psi: MatrixSet) -> MatrixSet:
@@ -213,6 +214,13 @@ def _pair_mean(f: MatrixSet, g: MatrixSet, a: float, b: float,
         cap=cap)
 
 
+def _kernel_exponents(alpha: float) -> tuple[float, float]:
+    """Kernel-mode exponents ``(alpha, 1 - alpha)`` for alpha in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha, 1.0 - alpha
+
+
 def symmetrize_ab(psi: MatrixSet, alpha: float, beta: float,
                   cap: int = MEMBER_CAP) -> MatrixSet:
     """Weighted geometric symmetrization
@@ -236,9 +244,7 @@ def symmetrize(psi: MatrixSet, alpha: float,
     """Geometric symmetrization ``{A**(alpha) o (B^T)**(1-alpha)}`` for
     ``alpha`` in [0, 1]; endpoints follow the conventions ``S_1 = psi`` and
     ``S_0 = psi^T``."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return symmetrize_ab(psi, alpha, 1.0 - alpha, cap=cap)
+    return symmetrize_ab(psi, *_kernel_exponents(alpha), cap=cap)
 
 
 def canonicalize(psi: MatrixSet) -> MatrixSet:

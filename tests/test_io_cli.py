@@ -160,6 +160,16 @@ def test_cli_parse_error_exit_4(tmp_path):
     bad.write_text("{broken")
     assert run_command(["radius", str(bad)]) == 4
     assert run_command(["radius", str(tmp_path / "missing.json")]) == 4
+    inst = str(_gen(tmp_path, seed=1))
+    for argv in (["symmetrize", inst, "--alpha", "1.5"],
+                 ["symmetrize", inst, "--alpha", "0.5", "--alpha2", "0.2"],
+                 ["chain", inst, "--theorem", "powers", "--weights",
+                  "0.3,0.3"],
+                 ["chain", inst, "--theorem", "refin", "--beta", "2"],
+                 ["radius", inst, "--depth", "0"],
+                 ["symmetrize", inst, "--depth", "0"],
+                 ["chain", inst, "--theorem", "refin", "--depth", "0"]):
+        assert run_command(argv + ["--out", str(tmp_path / "x")]) == 4, argv
 
 
 def test_cli_cap_exceeded_exit_3(tmp_path):

@@ -4,8 +4,8 @@ radii of finite matrix sets."""
 import numpy as np
 import pytest
 
-from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, GeneratorParams,
-                          gelfand_sequence, gen_radius_lower,
+from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, CapExceeded,
+                          GeneratorParams, gelfand_sequence, gen_radius_lower,
                           generate_instance, joint_radius_upper, matrix_set,
                           radius_bracket_set, symmetrization_sequence,
                           symmetrization_sequence_ab)
@@ -102,9 +102,36 @@ def test_zero_set():
     assert b.hi <= 1e-12
 
 
-def test_depth_must_be_positive():
+@pytest.mark.parametrize("query", [
+    lambda s: gen_radius_lower(s, 0),
+    lambda s: joint_radius_upper(s, 0),
+    lambda s: radius_bracket_set(s, 0),
+    lambda s: gelfand_sequence(s, 0),
+    lambda s: symmetrization_sequence(s, 0.5, 1, 0),
+    lambda s: symmetrization_sequence_ab(s, 0.7, 0.6, 1, 0),
+], ids=["gen_radius_lower", "joint_radius_upper", "radius_bracket_set",
+        "gelfand_sequence", "symmetrization_sequence",
+        "symmetrization_sequence_ab"])
+@pytest.mark.parametrize("members", [1, 2])
+def test_depth_must_be_positive(query, members):
+    s = matrix_set(list(golden_pair())[:members])
     with pytest.raises(ValueError):
-        gen_radius_lower(golden_pair(), 0)
+        query(s)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_word_count_rule(k, d):
+    # the scan enumerates sum_{m<=d} k**m words for k distinct members
+    rng = np.random.default_rng(100 * k + d)
+    s = matrix_set([rng.random((2, 2)) + 0.1 for _ in range(k)])
+    words = sum(k ** m for m in range(1, d + 1))
+    assert len(gelfand_sequence(s, 10, word_budget=words).entries) == d
+    assert len(gelfand_sequence(s, 10, word_budget=words - 1).entries) \
+        == max(d - 1, 1)
+    with pytest.raises(CapExceeded):
+        gen_radius_lower(s, d, cap=words - 1)
+    gen_radius_lower(s, d, cap=words)
 
 
 # --- symmetrization sequences -----------------------------------------------
