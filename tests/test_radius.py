@@ -102,6 +102,11 @@ def test_zero_set():
     assert b.hi <= 1e-12
 
 
+def test_depth_must_be_positive():
+    with pytest.raises(ValueError):
+        gen_radius_lower(golden_pair(), 0)
+
+
 @pytest.mark.parametrize("query", [
     lambda s: gen_radius_lower(s, 0),
     lambda s: joint_radius_upper(s, 0),
@@ -113,7 +118,7 @@ def test_zero_set():
         "gelfand_sequence", "symmetrization_sequence",
         "symmetrization_sequence_ab"])
 @pytest.mark.parametrize("members", [1, 2])
-def test_depth_must_be_positive(query, members):
+def test_depth_must_be_positive_every_query(query, members):
     s = matrix_set(list(golden_pair())[:members])
     with pytest.raises(ValueError):
         query(s)
