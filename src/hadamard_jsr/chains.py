@@ -66,21 +66,17 @@ class ChainReport:
 class _Evaluator:
     """Caches set-radius brackets across the links of one chain."""
 
-    def __init__(self, depth: int, norm: str, tol: float,
-                 budget: int, cap: int):
+    def __init__(self, depth: int, norm: str, budget: int):
         self.depth = depth
         self.norm = norm
-        self.tol = tol
         self.budget = budget
-        self.cap = cap
         self._cache: dict = {}
 
     def set_bracket(self, ms: MatrixSet) -> RadiusBracket:
         key = (ms.dim, ms.members.tobytes())
         if key not in self._cache:
             self._cache[key] = radius_bracket_set(
-                ms, self.depth, self.norm, tol=self.tol, cap=self.cap,
-                word_budget=self.budget)
+                ms, self.depth, self.norm, word_budget=self.budget)
         return self._cache[key]
 
     def link(self, label: str, factors, relation: str) -> ChainLink:
@@ -90,8 +86,8 @@ class _Evaluator:
                                                  self.norm), relation)
 
     def context(self, **extra) -> dict:
-        ctx = {"depth": self.depth, "norm": self.norm, "tol": self.tol,
-               "word_budget": self.budget, "member_cap": self.cap}
+        ctx = {"depth": self.depth, "norm": self.norm, "tol": DEFAULT_TOL,
+               "word_budget": self.budget, "member_cap": MEMBER_CAP}
         ctx.update(extra)
         return ctx
 
@@ -108,7 +104,7 @@ def _segments(links):
     return out
 
 
-def assess(links, tol: float = VERDICT_TOL):
+def assess(links):
     """Compute (verdict, margins) for an ordered list of links.
 
     Within each segment every ordered pair must satisfy the transitive
@@ -132,14 +128,14 @@ def assess(links, tol: float = VERDICT_TOL):
             margins.append(float(margin))
         for i in range(len(seg)):
             for j in range(i + 1, len(seg)):
-                if seg[i].bracket.lo > seg[j].bracket.hi + tol:
+                if seg[i].bracket.lo > seg[j].bracket.hi + VERDICT_TOL:
                     verdict = VIOLATED
         for i in range(len(seg) - 1):
             if seg[i].relation_to_next != EQ:
                 continue
             a, b = seg[i].bracket, seg[i + 1].bracket
             gap = max(a.lo - b.hi, b.lo - a.hi)
-            if gap > tol:
+            if gap > VERDICT_TOL:
                 if a.width >= gap or b.width >= gap:
                     if verdict != VIOLATED:
                         verdict = INDETERMINATE
@@ -169,7 +165,7 @@ def _report(theorem_id: str, links, context: dict,
 # ---------------------------------------------------------------------------
 # single-matrix chains
 
-def chain_zhan(a, b, beta: float, *, tol: float = DEFAULT_TOL) -> ChainReport:
+def chain_zhan(a, b, beta: float) -> ChainReport:
     """Hadamard-product spectral radius chain for a pair of nonnegative
     matrices, plus the transposed-product branch."""
     a, b = check_matrix(a), check_matrix(b)
@@ -179,7 +175,7 @@ def chain_zhan(a, b, beta: float, *, tol: float = DEFAULT_TOL) -> ChainReport:
         raise ValueError("beta must lie in [0, 1]")
     ab = a @ b
     ba = b @ a
-    r = lambda m: spectral_radius_bracket(m, tol=tol)
+    r = spectral_radius_bracket
     r_had, r_ab = r(hadamard_product(a, b)), r(ab)
     sq_ab, sq_ba = r(hadamard_product(ab, ab)), r(hadamard_product(ba, ba))
     links = (
@@ -198,10 +194,10 @@ def chain_zhan(a, b, beta: float, *, tol: float = DEFAULT_TOL) -> ChainReport:
                   r(hadamard_product(ab, ba)).powered(0.5), LEQ),
         ChainLink("r(AB)", r_ab, END),
     )
-    return _report("zhan-chain", links, {"beta": beta, "tol": tol})
+    return _report("zhan-chain", links, {"beta": beta, "tol": DEFAULT_TOL})
 
 
-def chain_huang(mats, *, tol: float = DEFAULT_TOL) -> ChainReport:
+def chain_huang(mats) -> ChainReport:
     """Cyclic-factor refinement of the m-fold Hadamard-mean inequality."""
     mats = [check_matrix(m) for m in mats]
     m = len(mats)
@@ -213,7 +209,7 @@ def chain_huang(mats, *, tol: float = DEFAULT_TOL) -> ChainReport:
     w = [1.0 / m] * m
     cyclic = [reduce(np.matmul, mats[j:] + mats[:j]) for j in range(m)]
     full = cyclic[0]
-    r = lambda x: spectral_radius_bracket(x, tol=tol)
+    r = spectral_radius_bracket
     links = (
         ChainLink("r(A1^(1/m)∘…∘Am^(1/m))",
                   r(weighted_hadamard_geometric_mean(mats, w)), LEQ),
@@ -222,7 +218,7 @@ def chain_huang(mats, *, tol: float = DEFAULT_TOL) -> ChainReport:
                   .powered(1.0 / m), LEQ),
         ChainLink("r(A1⋯Am)^(1/m)", r(full).powered(1.0 / m), END),
     )
-    return _report("zhan-chain", links, {"m": m, "tol": tol})
+    return _report("zhan-chain", links, {"m": m, "tol": DEFAULT_TOL})
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +226,19 @@ def chain_huang(mats, *, tol: float = DEFAULT_TOL) -> ChainReport:
 
 def chain_powers(sets, w: WeightVector, n: int,
                  depth: int = DEFAULT_CHAIN_DEPTH, norm: str = ROW_SUM, *,
-                 tol: float = DEFAULT_TOL, budget: int = DEFAULT_WORD_BUDGET,
-                 cap: int = MEMBER_CAP) -> ChainReport:
+                 budget: int = DEFAULT_WORD_BUDGET) -> ChainReport:
     """Hadamard-mean vs n-th-power mean vs radius-product chain, plus the
     uniform-weight product branch."""
     sets = list(sets)
     if w.regime != CONVEX:
         raise ValueError("this chain requires convex weights")
-    ev = _Evaluator(depth, norm, tol, budget, cap)
+    ev = _Evaluator(depth, norm, budget)
     names = [s.name or f"Ψ{i + 1}" for i, s in enumerate(sets)]
     m = len(sets)
-    mean = set_hadamard_mean(sets, w, cap=cap)
-    powered = set_hadamard_mean([set_power(s, n, cap=cap) for s in sets],
-                                w, cap=cap)
-    umean = set_hadamard_mean(sets, uniform_weights(m), cap=cap)
-    prod = _fold(set_product, sets, cap)
+    mean = set_hadamard_mean(sets, w)
+    powered = set_hadamard_mean([set_power(s, n) for s in sets], w)
+    umean = set_hadamard_mean(sets, uniform_weights(m))
+    prod = _fold(set_product, sets)
     wtxt = ",".join(f"{x:g}" for x in w.weights)
     links = (
         ev.link(f"r(∘-mean({','.join(names)}; {wtxt}))", [(mean, 1.0)], LEQ),
@@ -258,26 +252,25 @@ def chain_powers(sets, w: WeightVector, n: int,
                    ev.context(n=n, weights=list(w.weights)))
 
 
-def _pair_sets(psi: MatrixSet, sigma: MatrixSet, cap: int):
+def _pair_sets(psi: MatrixSet, sigma: MatrixSet):
     """ΨΣ, ΣΨ, (Ψ∘-sq)(Σ∘-sq), ΨΣ∘-sq and ΣΨ∘-sq, where ``X∘-sq`` is the
     Hadamard mean of ``X`` with itself at weights (1/2, 1/2)."""
-    sq = lambda s: set_hadamard_mean([s, s], _HALF, cap=cap)
-    ps = set_product(psi, sigma, cap=cap)
-    sp = set_product(sigma, psi, cap=cap)
-    return ps, sp, set_product(sq(psi), sq(sigma), cap=cap), sq(ps), sq(sp)
+    sq = lambda s: set_hadamard_mean([s, s], _HALF)
+    ps = set_product(psi, sigma)
+    sp = set_product(sigma, psi)
+    return ps, sp, set_product(sq(psi), sq(sigma)), sq(ps), sq(sp)
 
 
 def chain_refin(psi: MatrixSet, sigma: MatrixSet, beta: float,
                 depth: int = DEFAULT_CHAIN_DEPTH, norm: str = ROW_SUM, *,
-                tol: float = DEFAULT_TOL, budget: int = DEFAULT_WORD_BUDGET,
-                cap: int = MEMBER_CAP) -> ChainReport:
+                budget: int = DEFAULT_WORD_BUDGET) -> ChainReport:
     """Pairwise refinement chains with the links proven equal marked "="."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    ev = _Evaluator(depth, norm, tol, budget, cap)
-    ps, sp, prod_means, mean_ps_ps, mean_sp_sp = _pair_sets(psi, sigma, cap)
-    mean_psig = set_hadamard_mean([psi, sigma], _HALF, cap=cap)
-    mean_ps_sp = set_hadamard_mean([ps, sp], _HALF, cap=cap)
+    ev = _Evaluator(depth, norm, budget)
+    ps, sp, prod_means, mean_ps_ps, mean_sp_sp = _pair_sets(psi, sigma)
+    mean_psig = set_hadamard_mean([psi, sigma], _HALF)
+    mean_ps_sp = set_hadamard_mean([ps, sp], _HALF)
     links = (
         # first chain, scaled to the r(ΨΣ) level (exponent 2 on every link)
         ev.link("r(Ψ^(1/2)∘Σ^(1/2))²", [(mean_psig, 2.0)], LEQ),
@@ -297,18 +290,16 @@ def chain_refin(psi: MatrixSet, sigma: MatrixSet, beta: float,
 
 def chain_folge(psi: MatrixSet, t: float, n: int,
                 depth: int = DEFAULT_CHAIN_DEPTH, norm: str = ROW_SUM, *,
-                tol: float = DEFAULT_TOL, budget: int = DEFAULT_WORD_BUDGET,
-                cap: int = MEMBER_CAP) -> ChainReport:
+                budget: int = DEFAULT_WORD_BUDGET) -> ChainReport:
     """Entrywise-power chain ``r(Ψ^(t)) <= r((Ψ^n)^(t))^(1/n) <= r(Ψ)^t``
     for t >= 1."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    ev = _Evaluator(depth, norm, tol, budget, cap)
+    ev = _Evaluator(depth, norm, budget)
     links = (
         ev.link(f"r(Ψ^({t:g}))", [(set_hadamard_power(psi, t), 1.0)], LEQ),
         ev.link(f"r((Ψ^{n})^({t:g}))^(1/{n})",
-                [(set_hadamard_power(set_power(psi, n, cap=cap), t),
-                  1.0 / n)], LEQ),
+                [(set_hadamard_power(set_power(psi, n), t), 1.0 / n)], LEQ),
         ev.link(f"r(Ψ)^{t:g}", [(psi, t)], END),
     )
     return _report("folge", links, ev.context(t=t, n=n))
@@ -316,16 +307,15 @@ def chain_folge(psi: MatrixSet, t: float, n: int,
 
 def chain_kathyprop_eq(psi: MatrixSet, sigma: MatrixSet, w: WeightVector,
                        beta: float, depth: int = DEFAULT_CHAIN_DEPTH,
-                       norm: str = ROW_SUM, *, tol: float = DEFAULT_TOL,
-                       budget: int = DEFAULT_WORD_BUDGET,
-                       cap: int = MEMBER_CAP) -> ChainReport:
+                       norm: str = ROW_SUM, *,
+                       budget: int = DEFAULT_WORD_BUDGET) -> ChainReport:
     """Equality chains: the self-mean equality and the pairwise-product
     equality chain."""
     if w.regime != CONVEX:
         raise ValueError("the self-mean equality requires convex weights")
-    ev = _Evaluator(depth, norm, tol, budget, cap)
-    self_mean = set_hadamard_mean([psi] * len(w), w, cap=cap)
-    ps, _, prod_means, mean_ps_ps, mean_sp_sp = _pair_sets(psi, sigma, cap)
+    ev = _Evaluator(depth, norm, budget)
+    self_mean = set_hadamard_mean([psi] * len(w), w)
+    ps, _, prod_means, mean_ps_ps, mean_sp_sp = _pair_sets(psi, sigma)
     links = (
         ev.link("r(Ψ)", [(psi, 1.0)], EQ),
         ev.link("r(Ψ^(α1)∘…∘Ψ^(αm))", [(self_mean, 1.0)], END),
@@ -340,23 +330,21 @@ def chain_kathyprop_eq(psi: MatrixSet, sigma: MatrixSet, w: WeightVector,
 
 def chain_kathyprop_mat(psi: MatrixSet, m: int, alpha: float, n: int,
                         depth: int = DEFAULT_CHAIN_DEPTH,
-                        norm: str = ROW_SUM, *, tol: float = DEFAULT_TOL,
-                        budget: int = DEFAULT_WORD_BUDGET,
-                        cap: int = MEMBER_CAP) -> ChainReport:
+                        norm: str = ROW_SUM, *,
+                        budget: int = DEFAULT_WORD_BUDGET) -> ChainReport:
     """Matrix-mode chains for integer and real entrywise powers."""
     if m < 1 or alpha < 1:
         raise ValueError("need m >= 1 and alpha >= 1")
-    ev = _Evaluator(depth, norm, tol, budget, cap)
+    ev = _Evaluator(depth, norm, budget)
     ones = WeightVector((1.0,) * m, SUPER)
-    psin = set_power(psi, n, cap=cap)
+    psin = set_power(psi, n)
     links = [
         ev.link(f"r(Ψ^({m}))", [(set_hadamard_power(psi, float(m)), 1.0)],
                 LEQ),
         ev.link(f"r(Ψ∘⋯∘Ψ [{m}×])",
-                [(set_hadamard_mean([psi] * m, ones, cap=cap), 1.0)], LEQ),
+                [(set_hadamard_mean([psi] * m, ones), 1.0)], LEQ),
         ev.link(f"r(Ψ^{n}∘⋯∘Ψ^{n})^(1/{n})",
-                [(set_hadamard_mean([psin] * m, ones, cap=cap), 1.0 / n)],
-                LEQ),
+                [(set_hadamard_mean([psin] * m, ones), 1.0 / n)], LEQ),
         ev.link(f"r(Ψ)^{m}", [(psi, float(m))], END),
     ]
     notes = []
@@ -366,11 +354,9 @@ def chain_kathyprop_mat(psi: MatrixSet, m: int, alpha: float, n: int,
             ev.link(f"r(Ψ^({alpha:g}))",
                     [(set_hadamard_power(psi, alpha), 1.0)], LEQ),
             ev.link(f"r(Ψ^({alpha - 1:g})∘Ψ)",
-                    [(set_hadamard_mean([psi, psi], wa, cap=cap), 1.0)],
-                    LEQ),
+                    [(set_hadamard_mean([psi, psi], wa), 1.0)], LEQ),
             ev.link(f"r((Ψ^{n})^({alpha - 1:g})∘Ψ^{n})^(1/{n})",
-                    [(set_hadamard_mean([psin, psin], wa, cap=cap),
-                      1.0 / n)], LEQ),
+                    [(set_hadamard_mean([psin, psin], wa), 1.0 / n)], LEQ),
             ev.link(f"r(Ψ)^{alpha:g}", [(psi, alpha)], END),
         ]
     else:
@@ -380,8 +366,8 @@ def chain_kathyprop_mat(psi: MatrixSet, m: int, alpha: float, n: int,
                    ev.context(m=m, alpha=alpha, n=n), notes)
 
 
-def _chain_grid(theorem_id, grid, w, n, depth, norm, tol, budget, cap,
-                mode, combine, labels):
+def _chain_grid(theorem_id, grid, w, n, depth, norm, budget, mode, combine,
+                labels):
     """Grid chain whose rows and columns are combined by ``combine``;
     ``labels`` name the four links, ``{n}`` standing for the power."""
     grid = [list(row) for row in grid]
@@ -392,13 +378,11 @@ def _chain_grid(theorem_id, grid, w, n, depth, norm, tol, budget, cap,
         raise DimensionMismatch(f"{m} columns but {len(w)} weights")
     if mode == "kernel" and w.regime != CONVEX:
         raise ValueError("kernel mode requires convex weights")
-    ev = _Evaluator(depth, norm, tol, budget, cap)
-    lhs = _fold(combine, [set_hadamard_mean(row, w, cap=cap) for row in grid],
-                cap)
-    cols = [_fold(combine, [row[j] for row in grid], cap) for j in range(m)]
-    col_mean = set_hadamard_mean(cols, w, cap=cap)
-    col_mean_n = set_hadamard_mean([set_power(c, n, cap=cap) for c in cols],
-                                   w, cap=cap)
+    ev = _Evaluator(depth, norm, budget)
+    lhs = _fold(combine, [set_hadamard_mean(row, w) for row in grid])
+    cols = [_fold(combine, [row[j] for row in grid]) for j in range(m)]
+    col_mean = set_hadamard_mean(cols, w)
+    col_mean_n = set_hadamard_mean([set_power(c, n) for c in cols], w)
     links = (
         ev.link(labels[0], [(lhs, 1.0)], LEQ),
         ev.link(labels[1], [(col_mean, 1.0)], LEQ),
@@ -412,11 +396,11 @@ def _chain_grid(theorem_id, grid, w, n, depth, norm, tol, budget, cap,
 
 def chain_finally(grid, w: WeightVector, n: int,
                   depth: int = DEFAULT_CHAIN_DEPTH, norm: str = ROW_SUM, *,
-                  tol: float = DEFAULT_TOL, budget: int = DEFAULT_WORD_BUDGET,
-                  cap: int = MEMBER_CAP, mode: str = "kernel") -> ChainReport:
+                  budget: int = DEFAULT_WORD_BUDGET,
+                  mode: str = "kernel") -> ChainReport:
     """Grid chain with ordinary products across rows."""
-    return _chain_grid("finally", grid, w, n, depth, norm, tol, budget, cap,
-                       mode, set_product,
+    return _chain_grid("finally", grid, w, n, depth, norm, budget, mode,
+                       set_product,
                        ("r(⋯-combined row means)",
                         "r(∘-mean of column combinations)",
                         "r(∘-mean of {n}-th powers)^(1/{n})",
@@ -425,35 +409,31 @@ def chain_finally(grid, w: WeightVector, n: int,
 
 def chain_finally2(grid, w: WeightVector, n: int,
                    depth: int = DEFAULT_CHAIN_DEPTH, norm: str = ROW_SUM, *,
-                   tol: float = DEFAULT_TOL,
                    budget: int = DEFAULT_WORD_BUDGET,
-                   cap: int = MEMBER_CAP, mode: str = "kernel") -> ChainReport:
+                   mode: str = "kernel") -> ChainReport:
     """Grid chain with sums across rows."""
-    return _chain_grid("finally2", grid, w, n, depth, norm, tol, budget, cap,
-                       mode, set_sum,
+    return _chain_grid("finally2", grid, w, n, depth, norm, budget, mode,
+                       set_sum,
                        ("r(sum of row means)", "r(∘-mean of column sums)",
                         "r(∘-mean of {n}-th powers of column sums)^(1/{n})",
                         "Π r(column sum)^αj"))
 
 
 def chain_kathyth1(sets, n: int, depth: int = DEFAULT_CHAIN_DEPTH,
-                   norm: str = ROW_SUM, *, tol: float = DEFAULT_TOL,
-                   budget: int = DEFAULT_WORD_BUDGET,
-                   cap: int = MEMBER_CAP) -> ChainReport:
+                   norm: str = ROW_SUM, *,
+                   budget: int = DEFAULT_WORD_BUDGET) -> ChainReport:
     """Cyclic-factor refinement at the set level, uniform weights 1/m."""
     sets = list(sets)
     m = len(sets)
-    ev = _Evaluator(depth, norm, tol, budget, cap)
+    ev = _Evaluator(depth, norm, budget)
     w = uniform_weights(m)
-    phis = [cyclic_factor(sets, j, cap=cap) for j in range(1, m + 1)]
+    phis = [cyclic_factor(sets, j) for j in range(1, m + 1)]
     links = (
-        ev.link("r(∘-mean of Ψj)",
-                [(set_hadamard_mean(sets, w, cap=cap), 1.0)], LEQ),
+        ev.link("r(∘-mean of Ψj)", [(set_hadamard_mean(sets, w), 1.0)], LEQ),
         ev.link(f"r(∘-mean of Φj)^(1/{m})",
-                [(set_hadamard_mean(phis, w, cap=cap), 1.0 / m)], LEQ),
+                [(set_hadamard_mean(phis, w), 1.0 / m)], LEQ),
         ev.link(f"r(∘-mean of Φj^{n})^(1/{n * m})",
-                [(set_hadamard_mean(
-                    [set_power(p, n, cap=cap) for p in phis], w, cap=cap),
+                [(set_hadamard_mean([set_power(p, n) for p in phis], w),
                   1.0 / (n * m))], LEQ),
         ev.link(f"r(Ψ1⋯Ψ{m})^(1/{m})", [(phis[0], 1.0 / m)], END),
     )
@@ -462,9 +442,8 @@ def chain_kathyth1(sets, n: int, depth: int = DEFAULT_CHAIN_DEPTH,
 
 def chain_equalities_joint(sets, w: WeightVector, beta: float,
                            depth: int = DEFAULT_CHAIN_DEPTH,
-                           norm: str = ROW_SUM, *, tol: float = DEFAULT_TOL,
-                           budget: int = DEFAULT_WORD_BUDGET,
-                           cap: int = MEMBER_CAP) -> ChainReport:
+                           norm: str = ROW_SUM, *,
+                           budget: int = DEFAULT_WORD_BUDGET) -> ChainReport:
     """Three-member equality chain through split entrywise powers."""
     sets = list(sets)
     m = len(sets)
@@ -472,11 +451,11 @@ def chain_equalities_joint(sets, w: WeightVector, beta: float,
         raise ValueError("need convex weights, one per set")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    ev = _Evaluator(depth, norm, tol, budget, cap)
-    split = lambda s: _pair_mean(s, s, beta, 1.0 - beta, cap=cap)
-    prod = _fold(set_product, sets, cap)
-    split_prod = _fold(set_product, [split(s) for s in sets], cap)
-    phis = [cyclic_factor(sets, j, cap=cap) for j in range(1, m + 1)]
+    ev = _Evaluator(depth, norm, budget)
+    split = lambda s: _pair_mean(s, s, beta, 1.0 - beta)
+    prod = _fold(set_product, sets)
+    split_prod = _fold(set_product, [split(s) for s in sets])
+    phis = [cyclic_factor(sets, j) for j in range(1, m + 1)]
     links = (
         ev.link(f"r(Ψ1⋯Ψ{m})", [(prod, 1.0)], EQ),
         ev.link("r(Π (Ψj^(β)∘Ψj^(1-β)))", [(split_prod, 1.0)], EQ),
@@ -489,29 +468,27 @@ def chain_equalities_joint(sets, w: WeightVector, beta: float,
 
 def chain_kathyth2(sets, alpha: float, n: int,
                    depth: int = DEFAULT_CHAIN_DEPTH, norm: str = ROW_SUM, *,
-                   tol: float = DEFAULT_TOL,
-                   budget: int = DEFAULT_WORD_BUDGET,
-                   cap: int = MEMBER_CAP) -> ChainReport:
+                   budget: int = DEFAULT_WORD_BUDGET) -> ChainReport:
     """Matrix-mode cyclic chains for entrywise power alpha >= 1/m; the
     alpha >= 1 branches are skipped (with a note) otherwise."""
     sets = list(sets)
     m = len(sets)
     if alpha < 1.0 / m:
         raise ValueError(f"alpha must be >= 1/m = {1.0 / m}")
-    ev = _Evaluator(depth, norm, tol, budget, cap)
+    ev = _Evaluator(depth, norm, budget)
     wa = WeightVector((alpha,) * m, SUPER)
-    phis = [cyclic_factor(sets, j, cap=cap) for j in range(1, m + 1)]
-    phis_n = [set_power(p, n, cap=cap) for p in phis]
+    phis = [cyclic_factor(sets, j) for j in range(1, m + 1)]
+    phis_n = [set_power(p, n) for p in phis]
     prod = phis[0]
     pow_sets = [set_hadamard_power(s, alpha * m) for s in sets]
-    prod_n = set_power(prod, n, cap=cap)
+    prod_n = set_power(prod, n)
     lhs = ev.link("r(Ψ1^(α)∘⋯∘Ψm^(α))",
-                  [(set_hadamard_mean(sets, wa, cap=cap), 1.0)], LEQ)
+                  [(set_hadamard_mean(sets, wa), 1.0)], LEQ)
     end = ev.link(f"r(Ψ1⋯Ψm)^{alpha:g}", [(prod, alpha)], END)
     # entrywise-power product route, also the tail of the cyclic-power one
     power_route = [
         ev.link(f"r(Ψ1^(αm)⋯Ψm^(αm))^(1/{m})",
-                [(_fold(set_product, pow_sets, cap), 1.0 / m)], LEQ),
+                [(_fold(set_product, pow_sets), 1.0 / m)], LEQ),
         ev.link(f"r((Ψ1⋯Ψm)^(αm))^(1/{m})",
                 [(set_hadamard_power(prod, alpha * m), 1.0 / m)], LEQ),
         ev.link(f"r(((Ψ1⋯Ψm)^{n})^(αm))^(1/{n * m})",
@@ -520,16 +497,14 @@ def chain_kathyth2(sets, alpha: float, n: int,
         end,
     ]
     mean_phis = ev.link(f"r(Φ1^(α)∘⋯)^(1/{m})",
-                        [(set_hadamard_mean(phis, wa, cap=cap), 1.0 / m)],
-                        LEQ)
+                        [(set_hadamard_mean(phis, wa), 1.0 / m)], LEQ)
     mean_phis_n = ev.link(f"r((Φj^{n})^(α) ∘-mean)^(1/{m * n})",
-                          [(set_hadamard_mean(phis_n, wa, cap=cap),
-                            1.0 / (m * n))], LEQ)
+                          [(set_hadamard_mean(phis_n, wa), 1.0 / (m * n))],
+                          LEQ)
     links = [lhs, mean_phis, mean_phis_n, end, lhs, *power_route]
     notes = []
     if alpha >= 1.0:
-        sigmas = [cyclic_factor(pow_sets, j, cap=cap)
-                  for j in range(1, m + 1)]
+        sigmas = [cyclic_factor(pow_sets, j) for j in range(1, m + 1)]
         um = uniform_weights(m)
         links += [
             lhs,
@@ -543,12 +518,10 @@ def chain_kathyth2(sets, alpha: float, n: int,
             end,
             lhs,
             ev.link(f"r(∘-mean of Σj^(1/{m}))^(1/{m})",
-                    [(set_hadamard_mean(sigmas, um, cap=cap), 1.0 / m)],
-                    LEQ),
+                    [(set_hadamard_mean(sigmas, um), 1.0 / m)], LEQ),
             ev.link(f"r(∘-mean of (Σj^{n})^(1/{m}))^(1/{m * n})",
-                    [(set_hadamard_mean(
-                        [set_power(s, n, cap=cap) for s in sigmas], um,
-                        cap=cap), 1.0 / (m * n))], LEQ),
+                    [(set_hadamard_mean([set_power(s, n) for s in sigmas],
+                                        um), 1.0 / (m * n))], LEQ),
             *power_route,
         ]
     else:
@@ -560,37 +533,34 @@ def chain_kathyth2(sets, alpha: float, n: int,
 
 def chain_geom_sym(sets, alpha: float, n: int,
                    depth: int = DEFAULT_CHAIN_DEPTH, norm: str = ROW_SUM, *,
-                   tol: float = DEFAULT_TOL,
                    budget: int = DEFAULT_WORD_BUDGET,
-                   cap: int = MEMBER_CAP,
                    ab: tuple[float, float] | None = None) -> ChainReport:
     """Geometric-symmetrization product and sum chains; ``ab`` switches to
     the weighted (alpha, beta) matrix-mode variant."""
     sets = list(sets)
     m = len(sets)
     a, b = _kernel_exponents(alpha) if ab is None else ab
-    sym = lambda s: symmetrize_ab(s, a, b, cap=cap)
+    sym = lambda s: symmetrize_ab(s, a, b)
     # F^(a) ∘ (G*)^(b), a zero exponent dropping its factor
-    mix = lambda f, g: _pair_mean(f, set_adjoint(g), a, b, cap=cap)
-    ev = _Evaluator(depth, norm, tol, budget, cap)
-    fwd = _fold(set_product, sets, cap)
-    bwd = _fold(set_product, sets[::-1], cap)
+    mix = lambda f, g: _pair_mean(f, set_adjoint(g), a, b)
+    ev = _Evaluator(depth, norm, budget)
+    fwd = _fold(set_product, sets)
+    bwd = _fold(set_product, sets[::-1])
     syms = [sym(s) for s in sets]
-    sym_prod = _fold(set_product, syms, cap)
-    total = _fold(set_sum, sets, cap)
-    sym_sum = _fold(set_sum, syms, cap)
+    sym_prod = _fold(set_product, syms)
+    total = _fold(set_sum, sets)
+    sym_sum = _fold(set_sum, syms)
     links = (
         ev.link("r(S(Ψ1)⋯S(Ψm))", [(sym_prod, 1.0)], LEQ),
         ev.link("r((Ψ1⋯Ψm)^(α)∘((Ψm⋯Ψ1)*)^(β))", [(mix(fwd, bwd), 1.0)],
                 LEQ),
         ev.link(f"r(n-th power mix)^(1/{n})",
-                [(mix(set_power(fwd, n, cap=cap),
-                      set_power(bwd, n, cap=cap)), 1.0 / n)], LEQ),
+                [(mix(set_power(fwd, n), set_power(bwd, n)), 1.0 / n)], LEQ),
         ev.link("r(Ψ1⋯Ψm)^α·r(Ψm⋯Ψ1)^β", [(fwd, a), (bwd, b)], END),
         ev.link("r(S(Ψ1)+⋯+S(Ψm))", [(sym_sum, 1.0)], LEQ),
         ev.link("r(S(Ψ1+⋯+Ψm))", [(sym(total), 1.0)], LEQ),
         ev.link(f"r(S((Ψ1+⋯+Ψm)^{n}))^(1/{n})",
-                [(sym(set_power(total, n, cap=cap)), 1.0 / n)], LEQ),
+                [(sym(set_power(total, n)), 1.0 / n)], LEQ),
         ev.link("r(Ψ1+⋯+Ψm)^(α+β)", [(total, a + b)], END),
     )
     return _report("geom-sym" if ab is None else "geom-sym-mat", links,
@@ -599,16 +569,14 @@ def chain_geom_sym(sets, alpha: float, n: int,
 
 def chain_sym_mono(psi: MatrixSet, alpha: float, n_max: int,
                    depth: int = DEFAULT_CHAIN_DEPTH, norm: str = ROW_SUM, *,
-                   tol: float = DEFAULT_TOL,
                    budget: int = DEFAULT_WORD_BUDGET,
-                   cap: int = MEMBER_CAP,
                    ab: tuple[float, float] | None = None) -> ChainReport:
     """Monotone symmetrization sequence chain
     ``r_0 <= r_1 <= ... <= r_n <= r(Ψ)^(α+β)``."""
     a, b = _kernel_exponents(alpha) if ab is None else ab
-    ev = _Evaluator(depth, norm, tol, budget, cap)
+    ev = _Evaluator(depth, norm, budget)
     seq = symmetrization_sequence_ab(psi, a, b, n_max, depth, norm,
-                                     cap=cap, word_budget=budget)
+                                     word_budget=budget)
     links = [ChainLink(f"r_{n} = r(S(Ψ^{2 ** n}))^(1/{2 ** n})", bracket,
                        LEQ) for n, bracket in seq.levels]
     links.append(ev.link(f"r(Ψ)^{a + b:g}", [(psi, a + b)], END))
@@ -620,11 +588,9 @@ def _run_zhan(p) -> ChainReport:
     mats = [m for s in p.sets for m in s]
     if len(mats) < 2:
         mats = mats * 2
-    tol = p.kw["tol"]
-    pair = chain_zhan(mats[0], mats[1], p.beta, tol=tol)
-    trio = chain_huang(mats[:3], tol=tol)
-    return _report("zhan-chain", pair.links + trio.links,
-                   {"beta": p.beta, "tol": tol})
+    pair = chain_zhan(mats[0], mats[1], p.beta)
+    trio = chain_huang(mats[:3])
+    return _report("zhan-chain", pair.links + trio.links, pair.context)
 
 
 # theorem id -> the chain run on the arguments ``p`` of run_theorem, shaped
@@ -665,9 +631,8 @@ THEOREM_IDS = tuple(_THEOREMS)
 def run_theorem(theorem_id: str, sets, *, depth: int = DEFAULT_CHAIN_DEPTH,
                 norm: str = ROW_SUM, alpha: float = 1.0,
                 alpha2: float = 1.0, beta: float = 0.5, n: int = 2,
-                levels: int = 3, weights=None, tol: float = DEFAULT_TOL,
-                budget: int = DEFAULT_WORD_BUDGET,
-                cap: int = MEMBER_CAP) -> ChainReport:
+                levels: int = 3, weights=None,
+                budget: int = DEFAULT_WORD_BUDGET) -> ChainReport:
     """Run a chain by id on the sets of an instance, adapting the instance
     shape to the chain's arity (reusing the last set when a chain needs
     more sets than the instance provides)."""
@@ -686,7 +651,7 @@ def run_theorem(theorem_id: str, sets, *, depth: int = DEFAULT_CHAIN_DEPTH,
     return _THEOREMS[theorem_id](SimpleNamespace(
         sets=sets, two=two, wvec=wvec, alpha=alpha, alpha2=alpha2, beta=beta,
         n=n, levels=levels,
-        kw=dict(depth=depth, norm=norm, tol=tol, budget=budget, cap=cap)))
+        kw=dict(depth=depth, norm=norm, budget=budget)))
 
 
 def scalar_mitr_check(vectors, exponents, *, tol: float = 1e-12) -> bool:

@@ -50,8 +50,12 @@ def _parse_seeds(spec: str):
     """'A..B' for an inclusive range, or a comma list."""
     if ".." in spec:
         a, b = spec.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(s) for s in spec.split(",")]
+        seeds = list(range(int(a), int(b) + 1))
+    else:
+        seeds = [int(s) for s in spec.split(",")]
+    if not seeds:
+        raise ValueError(f"seed range {spec!r} is empty")
+    return seeds
 
 
 def _build_parser() -> argparse.ArgumentParser:

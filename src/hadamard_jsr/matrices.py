@@ -17,7 +17,6 @@ from .errors import ConvergenceError, DimensionMismatch
 ROW_SUM = "row-sum"  # operator norm on l-infinity
 COL_SUM = "col-sum"  # operator norm on l-1
 SPECTRAL = "spectral"  # operator norm on l-2, certified upper bound only
-NORM_KINDS = (ROW_SUM, COL_SUM, SPECTRAL)
 
 DEFAULT_TOL = 1e-9
 _SPECTRAL_TOL = 1e-12

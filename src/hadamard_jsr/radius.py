@@ -19,12 +19,13 @@ import numpy as np
 from .errors import CapExceeded, SoundnessError
 from .matrices import (_SPECTRAL_TOL, COL_SUM, DEFAULT_TOL, ROW_SUM, SPECTRAL,
                        RadiusBracket, _batch_bracket, spectral_radius_bracket)
-from .sets import (MEMBER_CAP, MatrixSet, _kernel_exponents, _pairwise,
-                   dedupe, set_power, symmetrize_ab)
+from .sets import (MatrixSet, _kernel_exponents, _pairwise, dedupe,
+                   set_power, symmetrize_ab)
 
 WORD_CAP = 200_000
 _MAX_REFINE = 2000
 _REFINE_SLACK = 1e-10  # refinement stops within this of the best log radius
+_LEVEL_TOL = 1e-12  # bracket tolerance of each symmetrization level
 
 
 @dataclass(frozen=True)
@@ -281,19 +282,17 @@ def gelfand_sequence(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
 
 def symmetrization_sequence(psi: MatrixSet, alpha: float, n_max: int,
                             depth: int, kind: str = ROW_SUM, *,
-                            tol: float = 1e-12, cap: int = MEMBER_CAP,
                             word_budget: int = 20_000
                             ) -> SymmetrizationSequence:
     """Monotone bound sequence ``r_n = r(S_alpha(psi^(2^n)))^(2^-n)``."""
     a, b = _kernel_exponents(alpha)
-    seq = symmetrization_sequence_ab(psi, a, b, n_max, depth, kind, tol=tol,
-                                     cap=cap, word_budget=word_budget)
+    seq = symmetrization_sequence_ab(psi, a, b, n_max, depth, kind,
+                                     word_budget=word_budget)
     return SymmetrizationSequence(alpha, None, seq.levels)
 
 
 def symmetrization_sequence_ab(psi: MatrixSet, alpha: float, beta: float,
                                n_max: int, depth: int, kind: str = ROW_SUM, *,
-                               tol: float = 1e-12, cap: int = MEMBER_CAP,
                                word_budget: int = 20_000
                                ) -> SymmetrizationSequence:
     """Weighted variant ``r_n = r(S_{alpha,beta}(psi^(2^n)))^(2^-n)`` for
@@ -304,15 +303,16 @@ def symmetrization_sequence_ab(psi: MatrixSet, alpha: float, beta: float,
     maxima provably monotone (each length-2m word over ``S(psi^(2^n))`` is
     entrywise dominated by a length-m word over ``S(psi^(2^(n+1)))``).
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     level_sets = [
-        _dedupe_fast(symmetrize_ab(set_power(psi, 2 ** n, cap=cap), alpha,
-                                   beta, cap=cap))
+        _dedupe_fast(symmetrize_ab(set_power(psi, 2 ** n), alpha, beta))
         for n in range(n_max + 1)]
     d = min([depth] + [_feasible_depth(len(s), word_budget)
                        for s in level_sets])
     levels = []
     for n, s in enumerate(level_sets):
-        b = radius_bracket_set(s, d, kind, tol=tol, cap=cap,
+        b = radius_bracket_set(s, d, kind, tol=_LEVEL_TOL,
                                word_budget=word_budget)
         levels.append((n, b.powered(2.0 ** -n)))
     return SymmetrizationSequence(alpha, beta, tuple(levels))

@@ -129,7 +129,7 @@ def set_product(psi: MatrixSet, sigma: MatrixSet,
     return MatrixSet(_pairwise(np.matmul, psi.members, sigma.members))
 
 
-def _fold(op, sets, cap: int) -> MatrixSet:
+def _fold(op, sets, cap: int = MEMBER_CAP) -> MatrixSet:
     """``op(...op(op(s1, s2), s3)..., sm)``, e.g. the product ``s1⋯sm``."""
     out = sets[0]
     for s in sets[1:]:

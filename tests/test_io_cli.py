@@ -168,7 +168,10 @@ def test_cli_parse_error_exit_4(tmp_path):
                  ["chain", inst, "--theorem", "refin", "--beta", "2"],
                  ["radius", inst, "--depth", "0"],
                  ["symmetrize", inst, "--depth", "0"],
-                 ["chain", inst, "--theorem", "refin", "--depth", "0"]):
+                 ["chain", inst, "--theorem", "refin", "--depth", "0"],
+                 ["symmetrize", inst, "--levels", "-1"],
+                 ["chain", inst, "--theorem", "sym-mono", "--levels", "-1"],
+                 ["verify-all", "--seeds", "5..3"]):
         assert run_command(argv + ["--out", str(tmp_path / "x")]) == 4, argv
 
 
