@@ -92,55 +92,39 @@ class _Evaluator:
         return ctx
 
 
-def _segments(links):
-    seg, out = [], []
-    for link in links:
-        seg.append(link)
-        if link.relation_to_next == END:
-            out.append(seg)
-            seg = []
-    if seg:
-        out.append(seg)
-    return out
-
-
 def assess(links):
     """Compute (verdict, margins) for an ordered list of links.
 
-    Within each segment every ordered pair must satisfy the transitive
-    ``<=``; adjacent equality links must additionally overlap (or be
-    declared indeterminate when their widths exceed the gap).
+    The links up to each one marked ``end`` form a segment.  Within a
+    segment every ordered pair must satisfy the transitive ``<=``, which
+    each link checks against the smallest upper end after it; adjacent
+    equality links must additionally overlap (or be declared indeterminate
+    when their widths exceed the gap).
     """
-    verdict = VERIFIED
+    links = list(links)
+    later_hi = [link.bracket.hi for link in links]  # suffix minima
+    for i in range(len(links) - 2, -1, -1):
+        if links[i].relation_to_next != END:
+            later_hi[i] = min(later_hi[i], later_hi[i + 1])
+    violated = indeterminate = False
     margins = []
-    for seg in _segments(links):
-        for i, link in enumerate(seg):
-            rel = link.relation_to_next
-            if rel == END or i == len(seg) - 1:
-                continue
-            if rel == LEQ:
-                margin = min(seg[j].bracket.hi for j in range(i + 1, len(seg))
-                             ) - link.bracket.lo
-            else:  # equality: signed overlap with the next link
-                nxt = seg[i + 1].bracket
-                cur = link.bracket
-                margin = min(cur.hi, nxt.hi) - max(cur.lo, nxt.lo)
-            margins.append(float(margin))
-        for i in range(len(seg)):
-            for j in range(i + 1, len(seg)):
-                if seg[i].bracket.lo > seg[j].bracket.hi + VERDICT_TOL:
-                    verdict = VIOLATED
-        for i in range(len(seg) - 1):
-            if seg[i].relation_to_next != EQ:
-                continue
-            a, b = seg[i].bracket, seg[i + 1].bracket
-            gap = max(a.lo - b.hi, b.lo - a.hi)
-            if gap > VERDICT_TOL:
-                if a.width >= gap or b.width >= gap:
-                    if verdict != VIOLATED:
-                        verdict = INDETERMINATE
-                else:
-                    verdict = VIOLATED
+    for i, (link, nxt) in enumerate(zip(links, links[1:])):
+        rel, a, b = link.relation_to_next, link.bracket, nxt.bracket
+        if rel == END:
+            continue
+        if rel == LEQ:
+            margins.append(float(later_hi[i + 1] - a.lo))
+        else:  # equality: signed overlap with the next link
+            margins.append(float(min(a.hi, b.hi) - max(a.lo, b.lo)))
+        violated |= a.lo > later_hi[i + 1] + VERDICT_TOL
+        gap = max(a.lo - b.hi, b.lo - a.hi)
+        if rel == EQ and gap > VERDICT_TOL:
+            if a.width >= gap or b.width >= gap:
+                indeterminate = True
+            else:
+                violated = True
+    verdict = (VIOLATED if violated else
+               INDETERMINATE if indeterminate else VERIFIED)
     return verdict, tuple(margins)
 
 
@@ -171,8 +155,7 @@ def chain_zhan(a, b, beta: float) -> ChainReport:
     a, b = check_matrix(a), check_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatch("matrices must share a dimension")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
+    b_ab, b_ba = _kernel_exponents(beta, "beta")
     ab = a @ b
     ba = b @ a
     r = spectral_radius_bracket
@@ -184,8 +167,7 @@ def chain_zhan(a, b, beta: float) -> ChainReport:
                   r(hadamard_product(a, a) @ hadamard_product(b, b))
                   .powered(0.5), LEQ),
         ChainLink("r(AB∘AB)^(β/2)·r(BA∘BA)^((1-β)/2)",
-                  _bracket_product([(sq_ab, beta / 2),
-                                    (sq_ba, (1 - beta) / 2)],
+                  _bracket_product([(sq_ab, b_ab / 2), (sq_ba, b_ba / 2)],
                                    max(sq_ab.depth, sq_ba.depth),
                                    sq_ba.norm), LEQ),
         ChainLink("r(AB)", r_ab, END),
@@ -265,8 +247,7 @@ def chain_refin(psi: MatrixSet, sigma: MatrixSet, beta: float,
                 depth: int = DEFAULT_CHAIN_DEPTH, norm: str = ROW_SUM, *,
                 budget: int = DEFAULT_WORD_BUDGET) -> ChainReport:
     """Pairwise refinement chains with the links proven equal marked "="."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
+    b_ps, b_sp = _kernel_exponents(beta, "beta")
     ev = _Evaluator(depth, norm, budget)
     ps, sp, prod_means, mean_ps_ps, mean_sp_sp = _pair_sets(psi, sigma)
     mean_psig = set_hadamard_mean([psi, sigma], _HALF)
@@ -282,7 +263,7 @@ def chain_refin(psi: MatrixSet, sigma: MatrixSet, beta: float,
         ev.link("r(Ψ^(1/2)∘Σ^(1/2))²", [(mean_psig, 2.0)], LEQ),
         ev.link("r((Ψ∘-sq)(Σ∘-sq))", [(prod_means, 1.0)], EQ),
         ev.link("r(ΨΣ∘-sq)^β·r(ΣΨ∘-sq)^(1-β)",
-                [(mean_ps_ps, beta), (mean_sp_sp, 1.0 - beta)], EQ),
+                [(mean_ps_ps, b_ps), (mean_sp_sp, b_sp)], EQ),
         ev.link("r(ΨΣ)", [(ps, 1.0)], END),
     )
     return _report("refin", links, ev.context(beta=beta))
@@ -313,6 +294,7 @@ def chain_kathyprop_eq(psi: MatrixSet, sigma: MatrixSet, w: WeightVector,
     equality chain."""
     if w.regime != CONVEX:
         raise ValueError("the self-mean equality requires convex weights")
+    b_ps, b_sp = _kernel_exponents(beta, "beta")
     ev = _Evaluator(depth, norm, budget)
     self_mean = set_hadamard_mean([psi] * len(w), w)
     ps, _, prod_means, mean_ps_ps, mean_sp_sp = _pair_sets(psi, sigma)
@@ -322,7 +304,7 @@ def chain_kathyprop_eq(psi: MatrixSet, sigma: MatrixSet, w: WeightVector,
         ev.link("r(ΨΣ)", [(ps, 1.0)], EQ),
         ev.link("r((Ψ∘-sq)(Σ∘-sq))", [(prod_means, 1.0)], EQ),
         ev.link("r(ΨΣ∘-sq)^β·r(ΣΨ∘-sq)^(1-β)",
-                [(mean_ps_ps, beta), (mean_sp_sp, 1.0 - beta)], END),
+                [(mean_ps_ps, b_ps), (mean_sp_sp, b_sp)], END),
     )
     return _report("kathyprop-eq", links,
                    ev.context(beta=beta, weights=list(w.weights)))
@@ -376,6 +358,8 @@ def _chain_grid(theorem_id, grid, w, n, depth, norm, budget, mode, combine,
         raise DimensionMismatch("grid rows must have equal length")
     if len(w) != m:
         raise DimensionMismatch(f"{m} columns but {len(w)} weights")
+    if mode not in ("kernel", "matrix"):
+        raise ValueError(f"mode must be 'kernel' or 'matrix', got {mode!r}")
     if mode == "kernel" and w.regime != CONVEX:
         raise ValueError("kernel mode requires convex weights")
     ev = _Evaluator(depth, norm, budget)
@@ -449,10 +433,9 @@ def chain_equalities_joint(sets, w: WeightVector, beta: float,
     m = len(sets)
     if w.regime != CONVEX or len(w) != m:
         raise ValueError("need convex weights, one per set")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
+    exponents = _kernel_exponents(beta, "beta")
     ev = _Evaluator(depth, norm, budget)
-    split = lambda s: _pair_mean(s, s, beta, 1.0 - beta)
+    split = lambda s: _pair_mean(s, s, *exponents)
     prod = _fold(set_product, sets)
     split_prod = _fold(set_product, [split(s) for s in sets])
     phis = [cyclic_factor(sets, j) for j in range(1, m + 1)]

@@ -62,28 +62,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hadamard-jsr")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_instance=True):
-        if with_instance:
-            sp.add_argument("instance", help="instance file (JSON)")
-        sp.add_argument("--depth", type=int, default=6)
+    def generator(sp, density):
+        sp.add_argument("--dim", type=int, default=3)
+        sp.add_argument("--sets", type=int, default=2)
+        sp.add_argument("--size", type=int, default=2)
+        sp.add_argument("--density", type=float, default=density)
+        sp.add_argument("--scale", type=float, default=1.0)
+
+    def search(sp, depth, budget):
+        sp.add_argument("--depth", type=int, default=depth)
         sp.add_argument("--norm", choices=sorted(_NORMS), default="inf")
-        sp.add_argument("--out", default=None)
+        sp.add_argument("--budget", type=int, default=budget)
+
+    def on_instance(name, help_text):
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("instance", help="instance file (JSON)")
+        search(sp, depth=6, budget=DEFAULT_WORD_BUDGET)
+        return sp
 
     g = sub.add_parser("gen", help="write a seeded random instance")
-    g.add_argument("--dim", type=int, default=3)
-    g.add_argument("--sets", type=int, default=2)
-    g.add_argument("--size", type=int, default=2)
-    g.add_argument("--density", type=float, default=1.0)
-    g.add_argument("--scale", type=float, default=1.0)
+    generator(g, density=1.0)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", default=None)
 
-    r = sub.add_parser("radius", help="bracket and per-depth bound table")
-    common(r)
-    r.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET)
+    on_instance("radius", "bracket and per-depth bound table")
 
-    c = sub.add_parser("chain", help="evaluate one inequality chain")
-    common(c)
+    c = on_instance("chain", "evaluate one inequality chain")
     c.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     c.add_argument("--weights", default=None,
                    help="comma-separated weights, e.g. 0.5,0.5")
@@ -92,31 +95,24 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--beta", type=float, default=0.5)
     c.add_argument("--n", type=int, default=2)
     c.add_argument("--levels", type=int, default=3)
-    c.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET)
 
-    s = sub.add_parser("symmetrize", help="symmetrization level table")
-    common(s)
+    s = on_instance("symmetrize", "symmetrization level table")
     s.add_argument("--alpha", type=float, default=0.5)
     s.add_argument("--alpha2", type=float, default=None,
                    help="second exponent; switches to the (alpha, beta) "
                         "variant")
     s.add_argument("--levels", type=int, default=3)
-    s.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET)
 
     v = sub.add_parser("verify-all",
                        help="run every chain on a seeded batch")
     v.add_argument("--seeds", default="0..9",
                    help="inclusive range A..B or comma list")
-    v.add_argument("--dim", type=int, default=3)
-    v.add_argument("--sets", type=int, default=2)
-    v.add_argument("--size", type=int, default=2)
-    v.add_argument("--density", type=float, default=0.8)
-    v.add_argument("--scale", type=float, default=1.0)
-    v.add_argument("--depth", type=int, default=4)
-    v.add_argument("--norm", choices=sorted(_NORMS), default="inf")
+    generator(v, density=0.8)
+    search(v, depth=4, budget=4000)
     v.add_argument("--n", type=int, default=2)
-    v.add_argument("--budget", type=int, default=4000)
-    v.add_argument("--out", default=None)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None)
     return p
 
 

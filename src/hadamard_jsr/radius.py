@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, SoundnessError
-from .matrices import (_SPECTRAL_TOL, COL_SUM, DEFAULT_TOL, ROW_SUM, SPECTRAL,
-                       RadiusBracket, _batch_bracket, spectral_radius_bracket)
+from .matrices import (DEFAULT_TOL, ROW_SUM, RadiusBracket, _batch_bracket,
+                       _stack_norms, spectral_radius_bracket)
 from .sets import (MatrixSet, _kernel_exponents, _pairwise, dedupe,
                    set_power, symmetrize_ab)
 
@@ -64,7 +64,7 @@ def _normalize_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Zero slices are left as zeros with log scale -inf.
     """
-    s = batch.sum(axis=2).max(axis=1)
+    s = _stack_norms(batch, ROW_SUM)
     safe = np.where(s > 0, s, 1.0)
     out = batch / safe[:, None, None]
     with np.errstate(divide="ignore"):
@@ -128,20 +128,6 @@ def _log0(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, np.log(np.maximum(x, 1e-300)), -np.inf)
 
 
-def _norm_logs(batch: np.ndarray, logs: np.ndarray, kind: str) -> np.ndarray:
-    if kind == ROW_SUM:
-        vals = batch.sum(axis=2).max(axis=1)
-    elif kind == COL_SUM:
-        vals = batch.sum(axis=1).max(axis=1)
-    elif kind == SPECTRAL:
-        gram = np.matmul(batch.transpose(0, 2, 1), batch)
-        _, hi = _batch_bracket(gram, tol=_SPECTRAL_TOL, squarings=60)
-        vals = np.sqrt(hi) * (1.0 + _SPECTRAL_TOL)
-    else:
-        raise ValueError(f"unknown norm kind {kind!r}")
-    return _log0(vals) + logs
-
-
 def _dedupe_fast(sigma: MatrixSet) -> MatrixSet:
     """Dedupe small sets; very large sets are used as-is (duplicates are
     rare there and the sort would dominate the whole computation)."""
@@ -178,8 +164,9 @@ def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
             batch, extra = _normalize_batch(_pairwise(np.matmul, batch, base))
             logs = (logs[:, None] + base_logs[None, :]).reshape(-1) + extra
         lo, hi = _batch_bracket(batch)
+        norm_logs = _log0(_stack_norms(batch, kind)) + logs
         levels.append(_Level(m, _log0(lo) + logs, _log0(hi) + logs,
-                             float(np.max(_norm_logs(batch, logs, kind)))))
+                             float(np.max(norm_logs))))
     return members, levels
 
 

@@ -214,11 +214,11 @@ def _pair_mean(f: MatrixSet, g: MatrixSet, a: float, b: float,
         cap=cap)
 
 
-def _kernel_exponents(alpha: float) -> tuple[float, float]:
-    """Kernel-mode exponents ``(alpha, 1 - alpha)`` for alpha in [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha, 1.0 - alpha
+def _kernel_exponents(x: float, name: str = "alpha") -> tuple[float, float]:
+    """Kernel-mode exponents ``(x, 1 - x)`` for ``name`` = x in [0, 1]."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {x}")
+    return x, 1.0 - x
 
 
 def symmetrize_ab(psi: MatrixSet, alpha: float, beta: float,

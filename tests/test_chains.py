@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard_jsr import (ROW_SUM, ChainLink, GeneratorParams, RadiusBracket,
                           THEOREM_IDS, WeightVector, assess,
@@ -64,6 +66,47 @@ def test_assess_equality_loose_gap_indeterminate():
 def test_assess_equality_tight_gap_violated():
     links = [link(1.0, 1.0001, "="), link(1.5, 1.5001, "end")]
     assert assess(links)[0] == "violated"
+
+
+def brute_assess(links, tol=1e-9):
+    """The verdict rule restated pair by pair: every ordered pair of a
+    segment for ``<=``, and overlap or gap for each ``=`` link."""
+    cuts = [i + 1 for i, l in enumerate(links) if l.relation_to_next == "end"]
+    segments = [links[a:b] for a, b in zip([0] + cuts, cuts + [len(links)])]
+    margins, violated, indeterminate = [], False, False
+    for seg in segments:
+        for i in range(len(seg) - 1):
+            a, b = seg[i].bracket, seg[i + 1].bracket
+            if seg[i].relation_to_next == "<=":
+                margins.append(min(l.bracket.hi for l in seg[i + 1:]) - a.lo)
+            else:
+                margins.append(min(a.hi, b.hi) - max(a.lo, b.lo))
+            for later in seg[i + 1:]:
+                violated |= a.lo > later.bracket.hi + tol
+            gap = max(a.lo - b.hi, b.lo - a.hi)
+            if seg[i].relation_to_next == "=" and gap > tol:
+                if a.width >= gap or b.width >= gap:
+                    indeterminate = True
+                else:
+                    violated = True
+    verdict = ("violated" if violated else
+               "indeterminate" if indeterminate else "verified")
+    return verdict, tuple(margins)
+
+
+# endpoints collide often, and some sit just inside or outside the tolerance
+_ends = st.one_of(st.sampled_from([0.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 2.0]),
+                  st.floats(0.0, 3.0))
+_links = st.lists(
+    st.tuples(_ends, _ends, st.sampled_from(["<=", "=", "end"])).map(
+        lambda t: link(min(t[0], t[1]), max(t[0], t[1]), t[2])),
+    max_size=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_links)
+def test_assess_matches_pairwise_rule(links):
+    assert assess(links) == brute_assess(links)
 
 
 # --- single-matrix chains ---------------------------------------------------
@@ -129,6 +172,14 @@ def test_chain_kathyprop_eq_never_violated():
     rep = chain_kathyprop_eq(sets[0], sets[1], uniform_weights(2), 0.5,
                              depth=8)
     assert rep.verdict != "violated"
+
+
+def test_chain_kathyprop_eq_rejects_bad_beta():
+    sets = seeded_sets(4)
+    for beta in (1.5, -0.5):
+        with pytest.raises(ValueError, match="beta"):
+            chain_kathyprop_eq(sets[0], sets[1], uniform_weights(2), beta,
+                               depth=3)
 
 
 def test_chain_kathyprop_mat_alpha_branches():

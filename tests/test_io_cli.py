@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hadamard_jsr import (GeneratorParams, InstanceFormatError, SplitMix64,
                           generate_instance, parse_instance,
                           serialize_instance, sets_equal)
-from hadamard_jsr.cli import run_command
+from hadamard_jsr.cli import _build_parser, run_command
 
 # Sum of all entries for seed 42, dim 3, 2 sets x 2 matrices, density 1.
 # Computed once from the splitmix64 stream documented in instances.py and
@@ -155,6 +155,32 @@ def test_cli_symmetrize_table(tmp_path):
         all(x <= y + 1e-9 for x, y in zip(lowers, lowers[1:]))
 
 
+_SEARCH = {"depth": 6, "norm": "inf", "budget": 20_000, "out": None}
+
+# every option each subcommand takes, with its default
+CLI_DEFAULTS = [
+    (["gen"], {"dim": 3, "sets": 2, "size": 2, "density": 1.0,
+               "scale": 1.0, "seed": 0, "out": None}),
+    (["radius", "i.json"], {"instance": "i.json", **_SEARCH}),
+    (["chain", "i.json", "--theorem", "powers"],
+     {"instance": "i.json", **_SEARCH, "theorem": "powers", "weights": None,
+      "alpha": 1.0, "alpha2": 1.0, "beta": 0.5, "n": 2, "levels": 3}),
+    (["symmetrize", "i.json"],
+     {"instance": "i.json", **_SEARCH, "alpha": 0.5, "alpha2": None,
+      "levels": 3}),
+    (["verify-all"], {"seeds": "0..9", "dim": 3, "sets": 2, "size": 2,
+                      "density": 0.8, "scale": 1.0, "depth": 4,
+                      "norm": "inf", "budget": 4000, "n": 2, "out": None}),
+]
+
+
+@pytest.mark.parametrize("argv, defaults", CLI_DEFAULTS,
+                         ids=[argv[0] for argv, _ in CLI_DEFAULTS])
+def test_cli_option_defaults(argv, defaults):
+    args = vars(_build_parser().parse_args(argv))
+    assert args == {"command": argv[0], **defaults}
+
+
 def test_cli_parse_error_exit_4(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -166,6 +192,8 @@ def test_cli_parse_error_exit_4(tmp_path):
                  ["chain", inst, "--theorem", "powers", "--weights",
                   "0.3,0.3"],
                  ["chain", inst, "--theorem", "refin", "--beta", "2"],
+                 ["chain", inst, "--theorem", "kathyprop-eq", "--beta",
+                  "1.5"],
                  ["radius", inst, "--depth", "0"],
                  ["symmetrize", inst, "--depth", "0"],
                  ["chain", inst, "--theorem", "refin", "--depth", "0"],

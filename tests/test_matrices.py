@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, DimensionMismatch,
-                          check_matrix, hadamard_power, hadamard_product,
-                          induced_norm, spectral_radius_bracket,
+from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, ConvergenceError,
+                          DimensionMismatch, check_matrix, hadamard_power,
+                          hadamard_product, induced_norm, matrix_product,
+                          spectral_radius_bracket, transpose,
                           weighted_hadamard_geometric_mean)
+from hadamard_jsr import matrices
 from hadamard_jsr.oracle import oracle_spectral_radius
 
 
@@ -48,8 +50,41 @@ def test_hadamard_product_dimension_mismatch():
 
 
 def test_hadamard_power_rejects_nonpositive_exponent():
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t > 0"):
+            hadamard_power(np.ones((2, 2)), t)
+
+
+def test_hadamard_power_values_and_overflow():
+    a = np.array([[4.0, 0.0], [9.0, 1.0]])
+    assert np.array_equal(hadamard_power(a, 0.5), [[2.0, 0.0], [3.0, 1.0]])
+    assert np.array_equal(hadamard_power(a, 2.0), a * a)
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="overflowed"):
+        hadamard_power(np.array([[1e200]]), 2.0)
+
+
+def test_matrix_product_values_and_validation():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(matrix_product(a, swap), [[2.0, 1.0], [4.0, 3.0]])
+    assert np.array_equal(matrix_product(swap, a), [[3.0, 4.0], [1.0, 2.0]])
+    with pytest.raises(DimensionMismatch):
+        matrix_product(a, np.ones((3, 3)))
     with pytest.raises(ValueError):
-        hadamard_power(np.ones((2, 2)), 0.0)
+        matrix_product(a, -swap)
+
+
+def test_transpose_values_and_validation():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    t = transpose(a)
+    assert np.array_equal(t, [[1.0, 3.0], [2.0, 4.0]])
+    t[0, 0] = 9.0  # a copy, not a view of the input
+    assert a[0, 0] == 1.0
+    with pytest.raises(DimensionMismatch):
+        transpose(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        transpose(-a)
 
 
 def test_weighted_mean_is_entrywise_product_of_powers():
@@ -102,6 +137,62 @@ def test_radius_reducible_diagonal():
     # reducible case: the bracket must still find the dominant block
     b = spectral_radius_bracket(np.diag([1.0, 2.0, 0.5]))
     assert b.lo <= 2.0 <= b.hi and b.width <= 1e-9 * 2.0
+
+
+# --- fallbacks of the irreducible-block bracket ------------------------------
+
+@pytest.fixture
+def cw_runs(monkeypatch):
+    """Record each Collatz-Wielandt run as (matrix, converged)."""
+    runs = []
+    real = matrices._collatz_wielandt
+
+    def spy(c, tol):
+        try:
+            out = real(c, tol)
+        except ConvergenceError:
+            runs.append((c.copy(), False))
+            raise
+        runs.append((c.copy(), True))
+        return out
+
+    monkeypatch.setattr(matrices, "_collatz_wielandt", spy)
+    return runs
+
+
+def test_radius_transposed_retry(cw_runs):
+    # the forward Perron vector (1, 1e-305) is not representable; the
+    # transposed block's is
+    a = np.array([[1.0, 1.0], [1e-305, 0.5]])
+    b = spectral_radius_bracket(a)
+    assert [ok for _, ok in cw_runs] == [False, True]
+    assert np.array_equal(cw_runs[1][0], a.T)
+    assert (b.lo, b.hi) == (1.0, 1.0)
+    assert oracle_spectral_radius(a).value == 1.0
+
+
+def test_radius_pruned_block(cw_runs):
+    # both directions fail; dropping the 1e-305 entries leaves the
+    # diagonal, whose radius 1 is a lower bound by monotonicity
+    a = np.array([[1.0, 1e-305], [1e-305, 0.5]])
+    b = spectral_radius_bracket(a)
+    assert [ok for _, ok in cw_runs[:2]] == [False, False]
+    assert np.array_equal(cw_runs[1][0], a.T)
+    assert len(cw_runs) > 2 and all(ok for _, ok in cw_runs[2:])
+    assert (b.lo, b.hi) == (1.0, 1.0)
+
+
+def test_radius_beyond_double_range_stays_sound():
+    # a 3-cycle with rho = (1e-250 * 1e-250 * 1e200)^(1/3) = 1e-100, whose
+    # Perron vector spans more than double-precision range: a bracket,
+    # returned or attached to the error, must still enclose rho
+    a = np.zeros((3, 3))
+    a[0, 1], a[1, 2], a[2, 0] = 1e-250, 1e-250, 1e200
+    try:
+        b = spectral_radius_bracket(a)
+    except ConvergenceError as exc:
+        b = exc.bracket
+    assert b.lo <= 1e-100 <= b.hi
 
 
 @settings(max_examples=150, deadline=None)
