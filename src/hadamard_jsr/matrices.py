@@ -194,7 +194,10 @@ def _collatz_wielandt(c: np.ndarray, tol: float) -> tuple[float, float, int]:
         if best_hi - best_lo <= tol * max(1.0, best_hi - 1.0):
             return max(best_lo - 1.0, 0.0), best_hi - 1.0, s
         q = q @ q
-        q /= q.max()
+        top = q.max()
+        if top == 0:  # the power underflowed; further squarings are NaN
+            break
+        q /= top
     raise ConvergenceError(
         f"Collatz-Wielandt bracket did not reach width {tol} within "
         f"{_MAX_SQUARINGS} squarings",
@@ -204,8 +207,10 @@ def _collatz_wielandt(c: np.ndarray, tol: float) -> tuple[float, float, int]:
 
 
 def _batch_bracket(batch: np.ndarray, tol: float = 1e-6,
-                   squarings: int = _COARSE_SQUARINGS):
-    """Vectorized Collatz-Wielandt brackets for ``rho`` of every slice.
+                   squarings: int = _COARSE_SQUARINGS,
+                   keep: np.ndarray | None = None):
+    """Vectorized Collatz-Wielandt brackets for ``rho`` of every slice, or
+    of the slices the boolean mask ``keep`` selects.
 
     The iteration of :func:`_collatz_wielandt`, run on a whole stack: one
     matrix goes through that loop, which is faster for it, and a stack
@@ -214,13 +219,15 @@ def _batch_bracket(batch: np.ndarray, tol: float = 1e-6,
     within the squaring budget (reducible slices may stay loose on the
     lower side, which refinement repairs).
     """
-    k, n, _ = batch.shape
+    # gathered straight into the shifted stack, so no second copy exists
+    p = batch.copy() if keep is None else batch[keep]
+    k, n, _ = p.shape
     if n == 1:
-        v = batch[:, 0, 0]
-        return v.copy(), v.copy()
+        v = p[:, 0, 0]
+        return v, v.copy()
     best_lo = np.zeros(k)
     best_hi = np.full(k, np.inf)
-    p = batch + np.eye(n)
+    p += np.eye(n)
     q = p / p.reshape(k, -1).max(axis=1)[:, None, None]
     active = np.arange(k)
     for _ in range(squarings):

@@ -7,6 +7,17 @@ separately, so deep products never overflow.  Lower bounds come from
 per-word spectral-radius brackets (a vectorized coarse pass plus exact
 refinement of the maximizing candidates); upper bounds from root-normalized
 word norms, which certify the joint radius by submultiplicativity.
+
+Within each length, only the words that can matter are bracketed: a word
+whose largest row sum lies below another word's smallest row sum (1e-9
+slack in log scale, a few ulps of rounding guard) is skipped, with bracket
+``[0, 0]``.  This is exact, not a heuristic.  For nonnegative ``w``,
+``min_i r_i(w) <= rho(w) <= max_i r_i(w)``, and the coarse pass's first
+Collatz-Wielandt step already reaches these row-sum bounds, so a skipped
+word is never its length's best lower bound nor a refinement candidate,
+and every output equals that of a full pass.  The rule is per length,
+because the Gelfand sequence refines each length alone, and it holds for
+every norm kind; word norms and longer products still use every word.
 """
 
 from __future__ import annotations
@@ -134,6 +145,20 @@ def _dedupe_fast(sigma: MatrixSet) -> MatrixSet:
     return dedupe(sigma) if len(sigma) <= 4096 else sigma
 
 
+def _contenders(batch: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Mask of the words of one level that the skip rule of the module
+    docstring keeps.  ``guard = 1e-13 n`` on row-normalized words covers
+    the coarse pass's absolute rounding of a few ``n`` ulps, by which its
+    ``lo`` can fall short of a tiny smallest row sum."""
+    rows = batch.sum(axis=2)
+    guard = 1e-13 * batch.shape[1]
+    with np.errstate(divide="ignore"):
+        up = np.log(rows.max(axis=1)) + logs
+        floor = np.max(np.log(np.maximum(rows.min(axis=1) - guard, 0.0))
+                       + logs)
+    return up >= floor - 1e-9
+
+
 def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
           word_budget: int | None, *, skip_single: bool = False):
     """Deduped members of ``sigma`` and the bracketed words of every length
@@ -163,7 +188,10 @@ def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
         if m > 1:
             batch, extra = _normalize_batch(_pairwise(np.matmul, batch, base))
             logs = (logs[:, None] + base_logs[None, :]).reshape(-1) + extra
-        lo, hi = _batch_bracket(batch)
+        keep = _contenders(batch, logs)
+        bracket = _batch_bracket(batch, keep=keep)
+        lo, hi = np.zeros((2, len(batch)))
+        lo[keep], hi[keep] = bracket
         norm_logs = _log0(_stack_norms(batch, kind)) + logs
         levels.append(_Level(m, _log0(lo) + logs, _log0(hi) + logs,
                              float(np.max(norm_logs))))
@@ -180,15 +208,19 @@ def _refine_best(members: np.ndarray, levels, tol: float):
     k = members.shape[0]
     best_log = -math.inf
     witness = (levels[0].m, _digits(0, k, levels[0].m))
-    candidates = []
     for lev in levels:
         idx = int(np.argmax(lev.lo_log))
         val = lev.lo_log[idx] / lev.m
         if val > best_log:
             best_log = val
             witness = (lev.m, _digits(idx, k, lev.m))
-        for i in np.flatnonzero(lev.hi_log / lev.m >= best_log - 1e-12):
-            candidates.append((lev.hi_log[i] / lev.m, lev.m, int(i)))
+    # the loop below stops at the first candidate within the slack of the
+    # coarse best, so no other word is ever read
+    candidates = []
+    for lev in levels:
+        vals = lev.hi_log / lev.m
+        for i in np.flatnonzero(vals > best_log + _REFINE_SLACK):
+            candidates.append((vals[i], lev.m, int(i)))
     candidates.sort(reverse=True)
     refined = 0
     for hi_val, m, i in candidates:

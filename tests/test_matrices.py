@@ -1,6 +1,8 @@
 """Matrix-core: validation, Hadamard algebra, and certified radius
 brackets."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, ConvergenceError,
-                          DimensionMismatch, check_matrix, hadamard_power,
-                          hadamard_product, induced_norm, matrix_product,
-                          spectral_radius_bracket, transpose,
+                          DimensionMismatch, RadiusBracket, check_matrix,
+                          hadamard_power, hadamard_product, induced_norm,
+                          matrix_product, spectral_radius_bracket, transpose,
                           weighted_hadamard_geometric_mean)
 from hadamard_jsr import matrices
 from hadamard_jsr.oracle import oracle_spectral_radius
@@ -193,6 +195,19 @@ def test_radius_beyond_double_range_stays_sound():
     except ConvergenceError as exc:
         b = exc.bracket
     assert b.lo <= 1e-100 <= b.hi
+
+
+def test_underflowed_power_stops_squaring():
+    # the same 3-cycle: its normalized powers underflow to zero, and the
+    # loop must stop there rather than divide 0/0 and square NaN; the error
+    # and its bracket are what the NaN iterations used to end with
+    a = np.zeros((3, 3))
+    a[0, 1], a[1, 2], a[2, 0] = 1e-250, 1e-250, 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="stuck at width") as exc:
+            spectral_radius_bracket(a)
+    assert exc.value.bracket == RadiusBracket(0.0, 1.0, 256, ROW_SUM)
 
 
 @settings(max_examples=150, deadline=None)

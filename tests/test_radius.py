@@ -3,12 +3,16 @@ radii of finite matrix sets."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, CapExceeded,
                           GeneratorParams, gelfand_sequence, gen_radius_lower,
                           generate_instance, joint_radius_upper, matrix_set,
                           radius_bracket_set, symmetrization_sequence,
                           symmetrization_sequence_ab)
+from hadamard_jsr import radius
+from hadamard_jsr.matrices import _batch_bracket
 from hadamard_jsr.oracle import oracle_gen_radius, oracle_spectral_radius
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -137,6 +141,109 @@ def test_word_count_rule(k, d):
     with pytest.raises(CapExceeded):
         gen_radius_lower(s, d, cap=words - 1)
     gen_radius_lower(s, d, cap=words)
+
+
+# --- row-sum pruning of the word scan -----------------------------------------
+
+@st.composite
+def pruning_sets(draw):
+    # small sets with the shapes the skip rule must survive: reducible and
+    # nilpotent members, zero rows, duplicates and mixed entry scales
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    members = []
+    for _ in range(k):
+        a = rng.random((n, n)) * (rng.random((n, n)) < draw(
+            st.sampled_from([0.4, 0.7, 1.0])))
+        shape = draw(st.sampled_from(["full", "reducible", "nilpotent",
+                                      "zero-row"]))
+        if shape == "reducible":
+            a = np.triu(a)
+        elif shape == "nilpotent":
+            a = np.triu(a, 1)
+        elif shape == "zero-row":
+            a[rng.integers(n)] = 0.0
+        members.append(a * 10.0 ** draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        members.append(members[0].copy())
+    return matrix_set(members)
+
+
+def _queries(s, kind):
+    b = radius_bracket_set(s, 4, kind)
+    return ((b.lo, b.hi), gelfand_sequence(s, 4, kind).entries,
+            gen_radius_lower(s, 4))
+
+
+def _scan_everything(batch, logs):
+    return np.ones(len(batch), dtype=bool)
+
+
+def _assert_skip_exact(s, kind):
+    levels, bracketed = [], []
+    contenders = radius._contenders
+
+    def spy_contenders(batch, logs):
+        levels.append((batch.copy(), logs.copy()))
+        return contenders(batch, logs)
+
+    def spy_bracket(batch, keep):
+        bracketed.append((keep, _batch_bracket(batch, keep=keep)))
+        return bracketed[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radius, "_contenders", spy_contenders)
+        mp.setattr(radius, "_batch_bracket", spy_bracket)
+        pruned = _queries(s, kind)
+    assert len(levels) == len(bracketed)
+    for (batch, logs), (keep, (lo, hi)) in zip(levels, bracketed):
+        full_lo, full_hi = _batch_bracket(batch)
+        # kept words are bracketed bit for bit as in a full pass
+        assert np.array_equal(lo, full_lo[keep])
+        assert np.array_equal(hi, full_hi[keep])
+        skipped = ~keep
+        if skipped.any():
+            lo_log = radius._log0(full_lo) + logs
+            hi_log = radius._log0(full_hi) + logs
+            # below the level's best lower bound: neither its argmax nor a
+            # refinement candidate of any query
+            assert hi_log[skipped].max() < lo_log.max()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radius, "_contenders", _scan_everything)
+        assert _queries(s, kind) == pruned
+
+
+@settings(max_examples=80, deadline=None)
+@given(pruning_sets(), st.sampled_from([ROW_SUM, COL_SUM, SPECTRAL]))
+def test_row_sum_skip_is_exact(s, kind):
+    _assert_skip_exact(s, kind)
+
+
+@pytest.mark.parametrize("t", [1.0, 3.0, 5.0])
+def test_row_sum_skip_guards_rounding(t):
+    # f's smallest row sum 1e-8 equals its radius, which the coarse pass
+    # resolves only to an absolute rounding of about 1e-16 on the
+    # normalized word; the scalar word just below it must stay bracketed
+    f = np.array([[1e-8, 0.0], [1.0, 0.0]])
+    a = 1e-8 * (1.0 - t * 1e-9)
+    _assert_skip_exact(matrix_set([f, np.array([[a, 0.0], [0.0, a]])]),
+                       ROW_SUM)
+
+
+def test_row_sum_skip_spares_most_words(monkeypatch):
+    sigma = generate_instance(GeneratorParams(3, 1, 3, 1.0, 1.0, seed=3))[0]
+    bracketed = []
+
+    def spy(batch, keep):
+        bracketed.append(np.count_nonzero(keep))
+        return _batch_bracket(batch, keep=keep)
+
+    monkeypatch.setattr(radius, "_batch_bracket", spy)
+    radius_bracket_set(sigma, 6)
+    assert len(sigma) == 3
+    assert len(bracketed) == 6
+    assert sum(bracketed) < sum(3 ** m for m in range(1, 7)) / 2
 
 
 # --- symmetrization sequences -----------------------------------------------
