@@ -18,6 +18,9 @@ word is never its length's best lower bound nor a refinement candidate,
 and every output equals that of a full pass.  The rule is per length,
 because the Gelfand sequence refines each length alone, and it holds for
 every norm kind; word norms and longer products still use every word.
+The coarse pass applies the same rule to its own bounds as they tighten:
+a word leaves its squaring loop once its upper bound falls below another
+word's lower bound (see ``matrices._batch_bracket``).
 """
 
 from __future__ import annotations
@@ -189,7 +192,7 @@ def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
             batch, extra = _normalize_batch(_pairwise(np.matmul, batch, base))
             logs = (logs[:, None] + base_logs[None, :]).reshape(-1) + extra
         keep = _contenders(batch, logs)
-        bracket = _batch_bracket(batch, keep=keep)
+        bracket = _batch_bracket(batch, keep=keep, logs=logs[keep])
         lo, hi = np.zeros((2, len(batch)))
         lo[keep], hi[keep] = bracket
         norm_logs = _log0(_stack_norms(batch, kind)) + logs
@@ -215,15 +218,19 @@ def _refine_best(members: np.ndarray, levels, tol: float):
             best_log = val
             witness = (lev.m, _digits(idx, k, lev.m))
     # the loop below stops at the first candidate within the slack of the
-    # coarse best, so no other word is ever read
-    candidates = []
+    # coarse best, so no other word is ever read; candidates are read in
+    # descending (hi, m, index) order
+    vals, ms, pos = [], [], []
     for lev in levels:
-        vals = lev.hi_log / lev.m
-        for i in np.flatnonzero(vals > best_log + _REFINE_SLACK):
-            candidates.append((vals[i], lev.m, int(i)))
-    candidates.sort(reverse=True)
+        v = lev.hi_log / lev.m
+        i = np.flatnonzero(v > best_log + _REFINE_SLACK)
+        vals.append(v[i])
+        ms.append(np.full(len(i), lev.m))
+        pos.append(i)
+    vals, ms, pos = map(np.concatenate, (vals, ms, pos))
     refined = 0
-    for hi_val, m, i in candidates:
+    for c in np.lexsort((pos, ms, vals))[::-1]:
+        hi_val, m, i = vals[c], int(ms[c]), int(pos[c])
         if hi_val <= best_log + _REFINE_SLACK or refined >= _MAX_REFINE:
             break
         word = _digits(i, k, m)

@@ -269,3 +269,20 @@ def test_norm_submultiplicative(a):
     for kind in (ROW_SUM, COL_SUM):
         na = induced_norm(a, kind)
         assert induced_norm(a @ a, kind) <= na * na + 1e-9 * max(1.0, na * na)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_last_axis_matches_numpy_reductions(n):
+    # bit for bit, with signed zeros, infinities and NaN, on both sides of
+    # the eight-term switch of numpy's pairwise sum
+    rng = np.random.default_rng(n)
+    a = rng.random((300, n, n)) * 10.0 ** rng.integers(-30, 30, (300, n, n))
+    a[rng.random(a.shape) < 0.1] = -0.0
+    a[0] = -0.0
+    a[rng.random(a.shape) < 0.02] = np.inf
+    a[rng.random(a.shape) < 0.02] = np.nan
+    for ufunc in (np.add, np.maximum, np.minimum):
+        got = matrices._last_axis(ufunc, a)
+        want = ufunc.reduce(a, axis=-1)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -1,6 +1,8 @@
 """Radius estimation: certified brackets for joint/generalized spectral
 radii of finite matrix sets."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, CapExceeded,
                           GeneratorParams, gelfand_sequence, gen_radius_lower,
                           generate_instance, joint_radius_upper, matrix_set,
-                          radius_bracket_set, symmetrization_sequence,
-                          symmetrization_sequence_ab)
+                          radius_bracket_set, spectral_radius_bracket,
+                          symmetrization_sequence, symmetrization_sequence_ab)
 from hadamard_jsr import radius
 from hadamard_jsr.matrices import _batch_bracket
 from hadamard_jsr.oracle import oracle_gen_radius, oracle_spectral_radius
@@ -180,6 +182,11 @@ def _scan_everything(batch, logs):
     return np.ones(len(batch), dtype=bool)
 
 
+def _bracket_everything(batch, keep, logs):
+    # without log scales no word leaves the squaring loop early
+    return _batch_bracket(batch, keep=keep)
+
+
 def _assert_skip_exact(s, kind):
     levels, bracketed = [], []
     contenders = radius._contenders
@@ -188,8 +195,8 @@ def _assert_skip_exact(s, kind):
         levels.append((batch.copy(), logs.copy()))
         return contenders(batch, logs)
 
-    def spy_bracket(batch, keep):
-        bracketed.append((keep, _batch_bracket(batch, keep=keep)))
+    def spy_bracket(batch, keep, logs):
+        bracketed.append((keep, _batch_bracket(batch, keep=keep, logs=logs)))
         return bracketed[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -199,18 +206,21 @@ def _assert_skip_exact(s, kind):
     assert len(levels) == len(bracketed)
     for (batch, logs), (keep, (lo, hi)) in zip(levels, bracketed):
         full_lo, full_hi = _batch_bracket(batch)
-        # kept words are bracketed bit for bit as in a full pass
-        assert np.array_equal(lo, full_lo[keep])
-        assert np.array_equal(hi, full_hi[keep])
-        skipped = ~keep
-        if skipped.any():
+        scan_lo, scan_hi = np.zeros((2, len(batch)))
+        scan_lo[keep], scan_hi[keep] = lo, hi
+        # words bracketed to the end match a full pass bit for bit; the
+        # skipped and dropped ones get [0, 0]
+        exact = (scan_lo == full_lo) & (scan_hi == full_hi)
+        assert not scan_lo[~exact].any() and not scan_hi[~exact].any()
+        if not exact.all():
             lo_log = radius._log0(full_lo) + logs
             hi_log = radius._log0(full_hi) + logs
             # below the level's best lower bound: neither its argmax nor a
             # refinement candidate of any query
-            assert hi_log[skipped].max() < lo_log.max()
+            assert hi_log[~exact].max() < lo_log.max()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(radius, "_contenders", _scan_everything)
+        mp.setattr(radius, "_batch_bracket", _bracket_everything)
         assert _queries(s, kind) == pruned
 
 
@@ -235,15 +245,90 @@ def test_row_sum_skip_spares_most_words(monkeypatch):
     sigma = generate_instance(GeneratorParams(3, 1, 3, 1.0, 1.0, seed=3))[0]
     bracketed = []
 
-    def spy(batch, keep):
+    def spy(batch, keep, logs):
         bracketed.append(np.count_nonzero(keep))
-        return _batch_bracket(batch, keep=keep)
+        return _batch_bracket(batch, keep=keep, logs=logs)
 
     monkeypatch.setattr(radius, "_batch_bracket", spy)
     radius_bracket_set(sigma, 6)
     assert len(sigma) == 3
     assert len(bracketed) == 6
     assert sum(bracketed) < sum(3 ** m for m in range(1, 7)) / 2
+
+
+
+def test_coarse_pass_drops_dominated_words(monkeypatch):
+    sigma = generate_instance(GeneratorParams(3, 1, 3, 1.0, 1.0, seed=3))[0]
+    _assert_skip_exact(sigma, ROW_SUM)
+    kept = dropped = 0
+
+    def spy(batch, keep, logs):
+        nonlocal kept, dropped
+        lo, hi = _batch_bracket(batch, keep=keep, logs=logs)
+        full_hi = _batch_bracket(batch, keep=keep)[1]
+        kept += np.count_nonzero(keep)
+        dropped += np.count_nonzero((hi == 0) & (full_hi > 0))
+        return lo, hi
+
+    monkeypatch.setattr(radius, "_batch_bracket", spy)
+    radius_bracket_set(sigma, 6)
+    # most words that pass the row-sum rule still leave the squaring loop
+    # once another word's lower bound passes their upper bound
+    assert kept == 236
+    assert dropped > kept / 2
+
+
+def _refine_by_tuple_sort(members, levels, tol):
+    # _refine_best with its candidates in a plain list of (hi, m, index)
+    # tuples, sorted highest first
+    k = members.shape[0]
+    best_log = -math.inf
+    witness = (levels[0].m, radius._digits(0, k, levels[0].m))
+    for lev in levels:
+        idx = int(np.argmax(lev.lo_log))
+        if lev.lo_log[idx] / lev.m > best_log:
+            best_log = lev.lo_log[idx] / lev.m
+            witness = (lev.m, radius._digits(idx, k, lev.m))
+    candidates = sorted(
+        ((lev.hi_log[i] / lev.m, lev.m, int(i)) for lev in levels
+         for i in np.flatnonzero(lev.hi_log / lev.m
+                                 > best_log + radius._REFINE_SLACK)),
+        reverse=True)
+    refined = 0
+    for hi_val, m, i in candidates:
+        if (hi_val <= best_log + radius._REFINE_SLACK
+                or refined >= radius._MAX_REFINE):
+            break
+        word = radius._digits(i, k, m)
+        mat, logscale = radius._word_matrix(members, word)
+        if logscale == -math.inf:
+            continue
+        b = spectral_radius_bracket(mat, tol=tol)
+        refined += 1
+        if b.lo > 0 and (math.log(b.lo) + logscale) / m > best_log:
+            best_log = (math.log(b.lo) + logscale) / m
+            witness = (m, word)
+    return math.exp(best_log), witness
+
+
+@pytest.mark.parametrize("max_refine", [2, 5, 2000])
+def test_refine_reads_candidates_in_tuple_order(monkeypatch, max_refine):
+    # coarse upper bounds drawn from a few values, so that many candidates
+    # tie in hi, also across lengths, and lower bounds far below, so that
+    # refinement decides; the cap makes the order decide which words are
+    # refined at all
+    monkeypatch.setattr(radius, "_MAX_REFINE", max_refine)
+    rng = np.random.default_rng(max_refine)
+    for _ in range(60):
+        k = int(rng.integers(2, 4))
+        members = rng.random((k, 2, 2)) * (rng.random((k, 2, 2)) < 0.8)
+        levels = []
+        for m in (1, 2, 3):
+            hi_log = m * rng.choice([-np.inf, 0.5, 0.75, 1.0], k ** m)
+            lo_log = hi_log - rng.choice([3.0, 5.0], k ** m)
+            levels.append(radius._Level(m, lo_log, hi_log, 0.0))
+        assert (radius._refine_best(members, levels, 1e-9)
+                == _refine_by_tuple_sort(members, levels, 1e-9))
 
 
 # --- symmetrization sequences -----------------------------------------------
