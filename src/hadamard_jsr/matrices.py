@@ -228,74 +228,98 @@ def _collatz_wielandt(c: np.ndarray, tol: float) -> tuple[float, float, int]:
     )
 
 
+def _dominated(lo: np.ndarray, hi: np.ndarray, logs: np.ndarray, n: int,
+               top: float) -> tuple[np.ndarray, float]:
+    """Mask of the words another word dominates, and the new ``top``.
+
+    ``[lo, hi]`` encloses ``rho`` of each row-normalized ``n x n`` word of
+    one length, scaled by ``exp(logs)``; ``top`` is the best log lower
+    bound of the length so far.  A word is dominated once its log upper
+    bound is below ``top`` by more than 1e-9.  Dropping it is exact, as in
+    Gripenberg's branch-and-bound (Linear Algebra Appl. 1996): bounds only
+    tighten, so its full-pass bracket lies below the length's final best
+    lower bound, and it is neither that bound's word nor a refinement
+    candidate of any query.  Both ends are widened by ``1e-13 n``, the few
+    ulps of rounding by which a computed bound can cross the true one.
+    """
+    g = 1e-13 * n
+    with np.errstate(divide="ignore"):
+        top = max(top, float(np.max(np.log(np.maximum(lo - g, 0.0)) + logs)))
+        return np.log(hi + g) + logs < top - 1e-9, top
+
+
 def _batch_bracket(batch: np.ndarray, tol: float = 1e-6,
                    squarings: int = _COARSE_SQUARINGS,
-                   keep: np.ndarray | None = None,
                    logs: np.ndarray | None = None):
-    """Vectorized Collatz-Wielandt brackets for ``rho`` of every slice, or
-    of the slices the boolean mask ``keep`` selects.
+    """Vectorized Collatz-Wielandt brackets for ``rho`` of every slice.
 
     The iteration of :func:`_collatz_wielandt`, run on a whole stack: one
     matrix goes through that loop, which is faster for it, and a stack
     through this one, whose ``einsum`` beats ``matmul`` on many small
-    slices.  Always sound; tight only for slices whose primitive shift converges
-    within the squaring budget (reducible slices may stay loose on the
-    lower side, which refinement repairs).
+    slices.  Always sound; tight only for slices whose primitive shift
+    converges within the squaring budget (reducible slices may stay loose
+    on the lower side, which refinement repairs).
 
-    Given the log scales ``logs`` of the selected slices (row-normalized
-    words), a slice leaves the loop once its upper bound, in log scale, is
-    below the best lower bound of any slice by more than 1e-9; it gets the
-    bracket ``[0, 0]``.  Bounds only tighten, so its full-pass bracket
-    lies below the stack's final best lower bound: it holds neither that
-    bound nor a value above it.  The guard ``1e-13 n`` on the upper bound
-    covers the rounding by which a later ``lo`` can pass an earlier
-    ``hi``.  Every other slice gets the bracket a full pass gives it.
+    Given the log scales ``logs`` of row-normalized words of one length,
+    the words :func:`_dominated` finds get ``[0, 0]``: first on the bounds
+    ``min_i r_i <= rho <= max_i r_i`` (which the first step reaches), so
+    only the survivors are squared, then after each squaring.  Every other
+    word gets the bracket a full pass gives it.
     """
+    k, n, _ = batch.shape
+    keep, top = None, -np.inf
+    if logs is not None:
+        rows = batch.sum(axis=2)
+        gone, top = _dominated(rows.min(axis=1), rows.max(axis=1), logs, n,
+                               top)
+        del rows
+        keep = ~gone
+        logs = logs[keep]
     # gathered straight into the shifted stack, so no second copy exists
     p = batch.copy() if keep is None else batch[keep]
-    k, n, _ = p.shape
-    if n == 1:
-        v = p[:, 0, 0]
-        return v, v.copy()
-    best_lo = np.zeros(k)
-    best_hi = np.full(k, np.inf)
-    p += np.eye(n)
-    q = p / _last_axis(np.maximum, p.reshape(k, -1))[:, None, None]
-    active = np.arange(k)
-    dropped = np.zeros(k, dtype=bool)
-    top = -np.inf
-    for _ in range(squarings):
-        # The diagonal of q is mathematically positive but can underflow
-        # to zero under repeated squaring; clamping keeps x a valid
-        # positive test vector.
-        x = np.maximum(_last_axis(np.add, q), 1e-300)
-        ratios = np.einsum("kij,kj->ki", p, x) / x
-        lo_a = np.maximum(best_lo[active], _last_axis(np.minimum, ratios))
-        hi_a = np.minimum(best_hi[active], _last_axis(np.maximum, ratios))
-        best_lo[active] = lo_a
-        best_hi[active] = hi_a
-        # drop converged slices from the squaring loop
-        open_mask = hi_a - lo_a > tol * np.maximum(1.0, hi_a - 1.0)
-        if logs is not None:  # drop slices below another's lower bound
-            lg = logs[active]
-            with np.errstate(divide="ignore"):
-                top = max(top, float(np.max(
-                    np.log(np.maximum(lo_a - 1.0, 0.0)) + lg)))
-                gone = np.log(hi_a - 1.0 + 1e-13 * n) + lg < top - 1e-9
-            dropped[active[gone]] = True
-            open_mask &= ~gone
-        if not open_mask.any():
-            break
-        if not open_mask.all():
-            active = active[open_mask]
-            p = p[open_mask]
-            q = q[open_mask]
-        q = np.matmul(q, q)
-        q /= _last_axis(np.maximum, q.reshape(len(active), -1))[:, None, None]
-    lo = np.maximum(best_lo - 1.0, 0.0)
-    hi = np.maximum(best_hi - 1.0, lo)
-    lo[dropped] = hi[dropped] = 0.0
-    return lo, hi
+    if n == 1:  # exact, where the shift below would round
+        lo, hi = p[:, 0, 0], p[:, 0, 0].copy()
+    else:
+        m = len(p)
+        best_lo = np.zeros(m)
+        best_hi = np.full(m, np.inf)
+        p += np.eye(n)
+        q = p / _last_axis(np.maximum, p.reshape(m, -1))[:, None, None]
+        active = np.arange(m)
+        dropped = np.zeros(m, dtype=bool)
+        for _ in range(squarings):
+            # q's diagonal is mathematically positive but can underflow
+            # under repeated squaring; the clamp keeps x a positive vector
+            x = np.maximum(_last_axis(np.add, q), 1e-300)
+            ratios = np.einsum("kij,kj->ki", p, x) / x
+            lo_a = np.maximum(best_lo[active], _last_axis(np.minimum, ratios))
+            hi_a = np.minimum(best_hi[active], _last_axis(np.maximum, ratios))
+            best_lo[active], best_hi[active] = lo_a, hi_a
+            # drop converged and dominated slices from the squaring loop
+            open_mask = hi_a - lo_a > tol * np.maximum(1.0, hi_a - 1.0)
+            if logs is not None:
+                gone, top = _dominated(lo_a - 1.0, hi_a - 1.0, logs[active],
+                                       n, top)
+                dropped[active[gone]] = True
+                open_mask &= ~gone
+            if not open_mask.any():
+                break
+            if not open_mask.all():
+                active = active[open_mask]
+                p = p[open_mask]
+                q = q[open_mask]
+            q = np.matmul(q, q)
+            q /= _last_axis(np.maximum, q.reshape(len(q), -1))[:, None, None]
+        lo = np.maximum(best_lo - 1.0, 0.0)
+        hi = np.maximum(best_hi - 1.0, lo)
+        lo[dropped] = hi[dropped] = 0.0
+        del p, q
+    if keep is None:
+        return lo, hi
+    # after p and q are freed, row by row: other orders raised peak RSS
+    out = np.zeros((2, k))
+    out[0, keep], out[1, keep] = lo, hi
+    return out
 
 
 def _block_bracket(sub: np.ndarray, tol: float) -> tuple[float, float, int]:

@@ -8,19 +8,10 @@ per-word spectral-radius brackets (a vectorized coarse pass plus exact
 refinement of the maximizing candidates); upper bounds from root-normalized
 word norms, which certify the joint radius by submultiplicativity.
 
-Within each length, only the words that can matter are bracketed: a word
-whose largest row sum lies below another word's smallest row sum (1e-9
-slack in log scale, a few ulps of rounding guard) is skipped, with bracket
-``[0, 0]``.  This is exact, not a heuristic.  For nonnegative ``w``,
-``min_i r_i(w) <= rho(w) <= max_i r_i(w)``, and the coarse pass's first
-Collatz-Wielandt step already reaches these row-sum bounds, so a skipped
-word is never its length's best lower bound nor a refinement candidate,
-and every output equals that of a full pass.  The rule is per length,
-because the Gelfand sequence refines each length alone, and it holds for
-every norm kind; word norms and longer products still use every word.
-The coarse pass applies the same rule to its own bounds as they tighten:
-a word leaves its squaring loop once its upper bound falls below another
-word's lower bound (see ``matrices._batch_bracket``).
+Within each length the coarse pass brackets only the words that can
+matter, by the exact rule of ``matrices._dominated``.  The rule is per
+length, because the Gelfand sequence refines each length alone; word norms
+and longer products still use every word.
 """
 
 from __future__ import annotations
@@ -148,20 +139,6 @@ def _dedupe_fast(sigma: MatrixSet) -> MatrixSet:
     return dedupe(sigma) if len(sigma) <= 4096 else sigma
 
 
-def _contenders(batch: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Mask of the words of one level that the skip rule of the module
-    docstring keeps.  ``guard = 1e-13 n`` on row-normalized words covers
-    the coarse pass's absolute rounding of a few ``n`` ulps, by which its
-    ``lo`` can fall short of a tiny smallest row sum."""
-    rows = batch.sum(axis=2)
-    guard = 1e-13 * batch.shape[1]
-    with np.errstate(divide="ignore"):
-        up = np.log(rows.max(axis=1)) + logs
-        floor = np.max(np.log(np.maximum(rows.min(axis=1) - guard, 0.0))
-                       + logs)
-    return up >= floor - 1e-9
-
-
 def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
           word_budget: int | None, *, skip_single: bool = False):
     """Deduped members of ``sigma`` and the bracketed words of every length
@@ -173,6 +150,8 @@ def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if word_budget is not None and word_budget < 1:
+        raise ValueError("word_budget must be >= 1")
     members = _dedupe_fast(sigma).members
     k = members.shape[0]
     if k == 1 and skip_single:
@@ -191,10 +170,7 @@ def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
         if m > 1:
             batch, extra = _normalize_batch(_pairwise(np.matmul, batch, base))
             logs = (logs[:, None] + base_logs[None, :]).reshape(-1) + extra
-        keep = _contenders(batch, logs)
-        bracket = _batch_bracket(batch, keep=keep, logs=logs[keep])
-        lo, hi = np.zeros((2, len(batch)))
-        lo[keep], hi[keep] = bracket
+        lo, hi = _batch_bracket(batch, logs=logs)
         norm_logs = _log0(_stack_norms(batch, kind)) + logs
         levels.append(_Level(m, _log0(lo) + logs, _log0(hi) + logs,
                              float(np.max(norm_logs))))

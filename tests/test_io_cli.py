@@ -199,7 +199,11 @@ def test_cli_parse_error_exit_4(tmp_path):
                  ["chain", inst, "--theorem", "refin", "--depth", "0"],
                  ["symmetrize", inst, "--levels", "-1"],
                  ["chain", inst, "--theorem", "sym-mono", "--levels", "-1"],
-                 ["verify-all", "--seeds", "5..3"]):
+                 ["verify-all", "--seeds", "5..3"],
+                 ["radius", inst, "--budget", "0"],
+                 ["radius", inst, "--budget", "-5"],
+                 ["chain", inst, "--theorem", "powers", "--budget", "-1"],
+                 ["verify-all", "--seeds", "0", "--budget", "0"]):
         assert run_command(argv + ["--out", str(tmp_path / "x")]) == 4, argv
 
 

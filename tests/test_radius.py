@@ -13,7 +13,7 @@ from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, CapExceeded,
                           generate_instance, joint_radius_upper, matrix_set,
                           radius_bracket_set, spectral_radius_bracket,
                           symmetrization_sequence, symmetrization_sequence_ab)
-from hadamard_jsr import radius
+from hadamard_jsr import matrices, radius
 from hadamard_jsr.matrices import _batch_bracket
 from hadamard_jsr.oracle import oracle_gen_radius, oracle_spectral_radius
 
@@ -113,21 +113,34 @@ def test_depth_must_be_positive():
         gen_radius_lower(golden_pair(), 0)
 
 
-@pytest.mark.parametrize("query", [
-    lambda s: gen_radius_lower(s, 0),
-    lambda s: joint_radius_upper(s, 0),
-    lambda s: radius_bracket_set(s, 0),
-    lambda s: gelfand_sequence(s, 0),
-    lambda s: symmetrization_sequence(s, 0.5, 1, 0),
-    lambda s: symmetrization_sequence_ab(s, 0.7, 0.6, 1, 0),
-], ids=["gen_radius_lower", "joint_radius_upper", "radius_bracket_set",
-        "gelfand_sequence", "symmetrization_sequence",
-        "symmetrization_sequence_ab"])
+_ENTRY_POINTS = {
+    "gen_radius_lower": gen_radius_lower,
+    "joint_radius_upper": joint_radius_upper,
+    "radius_bracket_set": radius_bracket_set,
+    "gelfand_sequence": gelfand_sequence,
+    "symmetrization_sequence": lambda s, depth, **kw:
+        symmetrization_sequence(s, 0.5, 1, depth, **kw),
+    "symmetrization_sequence_ab": lambda s, depth, **kw:
+        symmetrization_sequence_ab(s, 0.7, 0.6, 1, depth, **kw),
+}
+# id suffix -> (the argument at fault, the search)
+_BAD_SEARCHES = {
+    "": ("depth", {"depth": 0}),
+    "-budget0": ("word_budget", {"depth": 3, "word_budget": 0}),
+    "-budget-5": ("word_budget", {"depth": 3, "word_budget": -5}),
+}
+
+
+@pytest.mark.parametrize(
+    "query, bad", [(q, bad) for q in _ENTRY_POINTS.values()
+                   for bad in _BAD_SEARCHES.values()],
+    ids=[name + tag for name in _ENTRY_POINTS for tag in _BAD_SEARCHES])
 @pytest.mark.parametrize("members", [1, 2])
-def test_depth_must_be_positive_every_query(query, members):
+def test_depth_must_be_positive_every_query(query, bad, members):
     s = matrix_set(list(golden_pair())[:members])
-    with pytest.raises(ValueError):
-        query(s)
+    at_fault, search = bad
+    with pytest.raises(ValueError, match=at_fault):
+        query(s, **search)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -178,40 +191,28 @@ def _queries(s, kind):
             gen_radius_lower(s, 4))
 
 
-def _scan_everything(batch, logs):
-    return np.ones(len(batch), dtype=bool)
-
-
-def _bracket_everything(batch, keep, logs):
-    # without log scales no word leaves the squaring loop early
-    return _batch_bracket(batch, keep=keep)
+def _bracket_everything(batch, logs):
+    # without log scales no word is pruned
+    return _batch_bracket(batch)
 
 
 def _assert_skip_exact(s, kind):
-    levels, bracketed = [], []
-    contenders = radius._contenders
+    levels = []
 
-    def spy_contenders(batch, logs):
-        levels.append((batch.copy(), logs.copy()))
-        return contenders(batch, logs)
-
-    def spy_bracket(batch, keep, logs):
-        bracketed.append((keep, _batch_bracket(batch, keep=keep, logs=logs)))
-        return bracketed[-1][1]
+    def spy(batch, logs):
+        levels.append((batch.copy(), logs.copy(),
+                       _batch_bracket(batch, logs=logs)))
+        return levels[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radius, "_contenders", spy_contenders)
-        mp.setattr(radius, "_batch_bracket", spy_bracket)
+        mp.setattr(radius, "_batch_bracket", spy)
         pruned = _queries(s, kind)
-    assert len(levels) == len(bracketed)
-    for (batch, logs), (keep, (lo, hi)) in zip(levels, bracketed):
+    for batch, logs, (lo, hi) in levels:
         full_lo, full_hi = _batch_bracket(batch)
-        scan_lo, scan_hi = np.zeros((2, len(batch)))
-        scan_lo[keep], scan_hi[keep] = lo, hi
         # words bracketed to the end match a full pass bit for bit; the
         # skipped and dropped ones get [0, 0]
-        exact = (scan_lo == full_lo) & (scan_hi == full_hi)
-        assert not scan_lo[~exact].any() and not scan_hi[~exact].any()
+        exact = (lo == full_lo) & (hi == full_hi)
+        assert not lo[~exact].any() and not hi[~exact].any()
         if not exact.all():
             lo_log = radius._log0(full_lo) + logs
             hi_log = radius._log0(full_hi) + logs
@@ -219,7 +220,6 @@ def _assert_skip_exact(s, kind):
             # refinement candidate of any query
             assert hi_log[~exact].max() < lo_log.max()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radius, "_contenders", _scan_everything)
         mp.setattr(radius, "_batch_bracket", _bracket_everything)
         assert _queries(s, kind) == pruned
 
@@ -241,41 +241,34 @@ def test_row_sum_skip_guards_rounding(t):
                        ROW_SUM)
 
 
-def test_row_sum_skip_spares_most_words(monkeypatch):
-    sigma = generate_instance(GeneratorParams(3, 1, 3, 1.0, 1.0, seed=3))[0]
-    bracketed = []
-
-    def spy(batch, keep, logs):
-        bracketed.append(np.count_nonzero(keep))
-        return _batch_bracket(batch, keep=keep, logs=logs)
-
-    monkeypatch.setattr(radius, "_batch_bracket", spy)
-    radius_bracket_set(sigma, 6)
-    assert len(sigma) == 3
-    assert len(bracketed) == 6
-    assert sum(bracketed) < sum(3 ** m for m in range(1, 7)) / 2
-
-
-
-def test_coarse_pass_drops_dominated_words(monkeypatch):
+def test_pruning_spares_most_words(monkeypatch):
     sigma = generate_instance(GeneratorParams(3, 1, 3, 1.0, 1.0, seed=3))[0]
     _assert_skip_exact(sigma, ROW_SUM)
-    kept = dropped = 0
+    levels = []  # per level, the mask of every pruning stage in order
+    dominated = matrices._dominated
 
-    def spy(batch, keep, logs):
-        nonlocal kept, dropped
-        lo, hi = _batch_bracket(batch, keep=keep, logs=logs)
-        full_hi = _batch_bracket(batch, keep=keep)[1]
-        kept += np.count_nonzero(keep)
-        dropped += np.count_nonzero((hi == 0) & (full_hi > 0))
-        return lo, hi
+    def spy_bracket(batch, logs):
+        levels.append([])
+        return _batch_bracket(batch, logs=logs)
 
-    monkeypatch.setattr(radius, "_batch_bracket", spy)
+    def spy_dominated(*args):
+        gone, top = dominated(*args)
+        levels[-1].append(gone)
+        return gone, top
+
+    monkeypatch.setattr(radius, "_batch_bracket", spy_bracket)
+    monkeypatch.setattr(matrices, "_dominated", spy_dominated)
     radius_bracket_set(sigma, 6)
-    # most words that pass the row-sum rule still leave the squaring loop
-    # once another word's lower bound passes their upper bound
-    assert kept == 236
-    assert dropped > kept / 2
+    assert len(sigma) == 3
+    assert len(levels) == 6
+    assert sum(len(stages[0]) for stages in levels) == 1092
+    # the row-sum stage passes few words to the squaring loop, and most of
+    # those leave it once another word's lower bound passes their upper one
+    passed = sum(np.count_nonzero(~stages[0]) for stages in levels)
+    dropped = sum(np.count_nonzero(gone) for stages in levels
+                  for gone in stages[1:])
+    assert passed == 236
+    assert dropped > passed / 2
 
 
 def _refine_by_tuple_sort(members, levels, tol):
