@@ -241,10 +241,10 @@ def test_row_sum_skip_guards_rounding(t):
                        ROW_SUM)
 
 
-def test_pruning_spares_most_words(monkeypatch):
-    sigma = generate_instance(GeneratorParams(3, 1, 3, 1.0, 1.0, seed=3))[0]
-    _assert_skip_exact(sigma, ROW_SUM)
-    levels = []  # per level, the mask of every pruning stage in order
+def _pruning_stages(monkeypatch, sigma, depth):
+    # per level, the mask of every pruning stage in order: the row-sum stage
+    # first, then one per squaring of the loop
+    levels = []
     dominated = matrices._dominated
 
     def spy_bracket(batch, logs):
@@ -258,12 +258,26 @@ def test_pruning_spares_most_words(monkeypatch):
 
     monkeypatch.setattr(radius, "_batch_bracket", spy_bracket)
     monkeypatch.setattr(matrices, "_dominated", spy_dominated)
-    radius_bracket_set(sigma, 6)
+    radius_bracket_set(sigma, depth)
+    return levels
+
+
+def test_row_sum_skip_spares_most_words(monkeypatch):
+    sigma = generate_instance(GeneratorParams(3, 1, 3, 1.0, 1.0, seed=3))[0]
+    levels = _pruning_stages(monkeypatch, sigma, 6)
     assert len(sigma) == 3
     assert len(levels) == 6
     assert sum(len(stages[0]) for stages in levels) == 1092
-    # the row-sum stage passes few words to the squaring loop, and most of
-    # those leave it once another word's lower bound passes their upper one
+    passed = sum(np.count_nonzero(~stages[0]) for stages in levels)
+    assert passed < sum(3 ** m for m in range(1, 7)) / 2
+
+
+def test_coarse_pass_drops_dominated_words(monkeypatch):
+    sigma = generate_instance(GeneratorParams(3, 1, 3, 1.0, 1.0, seed=3))[0]
+    _assert_skip_exact(sigma, ROW_SUM)
+    levels = _pruning_stages(monkeypatch, sigma, 6)
+    # most words that pass the row-sum stage still leave the squaring loop
+    # once another word's lower bound passes their upper bound
     passed = sum(np.count_nonzero(~stages[0]) for stages in levels)
     dropped = sum(np.count_nonzero(gone) for stages in levels
                   for gone in stages[1:])
