@@ -22,8 +22,8 @@ from .errors import CapExceeded
 from .matrices import COL_SUM, ROW_SUM, SPECTRAL
 from .instances import GeneratorParams, generate_instance, parse_instance, \
     serialize_instance
-from .radius import gelfand_sequence, symmetrization_sequence, \
-    symmetrization_sequence_ab
+from .radius import gelfand_sequence, symmetrization_sequence_ab
+from .sets import _kernel_exponents
 
 EXIT_OK = 0
 EXIT_VIOLATED = 2
@@ -154,14 +154,11 @@ def _cmd_chain(args) -> int:
 
 def _cmd_symmetrize(args) -> int:
     sets = _load_sets(args.instance)
-    if args.alpha2 is None:
-        seq = symmetrization_sequence(
-            sets[0], args.alpha, args.levels, args.depth,
-            _NORMS[args.norm], word_budget=args.budget)
-    else:
-        seq = symmetrization_sequence_ab(
-            sets[0], args.alpha, args.alpha2, args.levels, args.depth,
-            _NORMS[args.norm], word_budget=args.budget)
+    exponents = (_kernel_exponents(args.alpha) if args.alpha2 is None
+                 else (args.alpha, args.alpha2))
+    seq = symmetrization_sequence_ab(
+        sets[0], *exponents, args.levels, args.depth, _NORMS[args.norm],
+        word_budget=args.budget)
     lines = ["n,lower,upper"]
     for n, b in seq.levels:
         lines.append(f"{n},{b.lo!r},{b.hi!r}")

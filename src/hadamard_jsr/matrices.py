@@ -132,7 +132,8 @@ def induced_norm(a, kind: str = ROW_SUM) -> float:
     relative tolerance 1e-12 and rounded up so the returned value is a
     certified upper bound.
     """
-    return float(_stack_norms(check_matrix(a)[None], kind)[0])
+    # a lone slice is never dropped, so its scale is moot
+    return float(_stack_norms(check_matrix(a)[None], kind, np.zeros(1))[0])
 
 
 def _last_axis(ufunc, a: np.ndarray) -> np.ndarray:
@@ -157,16 +158,20 @@ def _last_axis(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stack_norms(batch: np.ndarray, kind: str) -> np.ndarray:
-    """Induced ``kind`` norm of every slice of a ``(k, n, n)`` stack, with
-    ``spectral`` rounded up to a certified upper bound."""
+def _stack_norms(batch: np.ndarray, kind: str, logs) -> np.ndarray:
+    """Induced ``kind`` norm of every slice of a ``(k, n, n)`` stack with log
+    scales ``logs``, with ``spectral`` rounded up to a certified upper bound.
+    Only ``spectral`` reads ``logs``: it brackets the Gram matrices, scaled
+    by ``exp(2 logs)``, under the pruning of :func:`_batch_bracket`, so only
+    its largest scaled value is exact and pruned slices read 0."""
     if kind == ROW_SUM:
         return batch.sum(axis=2).max(axis=1)
     if kind == COL_SUM:
         return batch.sum(axis=1).max(axis=1)
     if kind == SPECTRAL:
         gram = np.matmul(batch.transpose(0, 2, 1), batch)
-        _, hi = _batch_bracket(gram, tol=_SPECTRAL_TOL, squarings=60)
+        hi = _batch_bracket(gram, 2 * logs, tol=_SPECTRAL_TOL,
+                            squarings=60)[1]
         return np.sqrt(hi) * (1.0 + _SPECTRAL_TOL)
     raise ValueError(f"unknown norm kind {kind!r}")
 
@@ -232,15 +237,16 @@ def _dominated(lo: np.ndarray, hi: np.ndarray, logs: np.ndarray, n: int,
                top: float) -> tuple[np.ndarray, float]:
     """Mask of the words another word dominates, and the new ``top``.
 
-    ``[lo, hi]`` encloses ``rho`` of each row-normalized ``n x n`` word of
-    one length, scaled by ``exp(logs)``; ``top`` is the best log lower
-    bound of the length so far.  A word is dominated once its log upper
-    bound is below ``top`` by more than 1e-9.  Dropping it is exact, as in
-    Gripenberg's branch-and-bound (Linear Algebra Appl. 1996): bounds only
-    tighten, so its full-pass bracket lies below the length's final best
-    lower bound, and it is neither that bound's word nor a refinement
-    candidate of any query.  Both ends are widened by ``1e-13 n``, the few
-    ulps of rounding by which a computed bound can cross the true one.
+    ``[lo, hi]`` encloses ``rho`` of each ``n x n`` word of one length (or
+    of its Gram matrix), scaled by ``exp(logs)``; ``top`` is the best log
+    lower bound of the length so far.  A word is dominated once its log
+    upper bound is below ``top`` by more than 1e-9.  Dropping it is exact,
+    as in Gripenberg's branch-and-bound (Linear Algebra Appl. 1996): bounds
+    only tighten, so its full-pass bracket lies below the length's final
+    best lower bound, and it is neither that bound's word, nor a refinement
+    candidate of any query, nor the length's largest norm.  Both ends are
+    widened by ``1e-13 n``, the few ulps of rounding by which a computed
+    bound can cross the true one.
     """
     g = 1e-13 * n
     with np.errstate(divide="ignore"):
@@ -248,10 +254,10 @@ def _dominated(lo: np.ndarray, hi: np.ndarray, logs: np.ndarray, n: int,
         return np.log(hi + g) + logs < top - 1e-9, top
 
 
-def _batch_bracket(batch: np.ndarray, tol: float = 1e-6,
-                   squarings: int = _COARSE_SQUARINGS,
-                   logs: np.ndarray | None = None):
-    """Vectorized Collatz-Wielandt brackets for ``rho`` of every slice.
+def _batch_bracket(batch: np.ndarray, logs: np.ndarray, tol: float = 1e-6,
+                   squarings: int = _COARSE_SQUARINGS) -> np.ndarray:
+    """Vectorized Collatz-Wielandt brackets for ``rho`` of every slice, as
+    a ``(2, k)`` array of lower and upper ends.
 
     The iteration of :func:`_collatz_wielandt`, run on a whole stack: one
     matrix goes through that loop, which is faster for it, and a stack
@@ -260,25 +266,24 @@ def _batch_bracket(batch: np.ndarray, tol: float = 1e-6,
     converges within the squaring budget (reducible slices may stay loose
     on the lower side, which refinement repairs).
 
-    Given the log scales ``logs`` of row-normalized words of one length,
-    the words :func:`_dominated` finds get ``[0, 0]``: first on the bounds
-    ``min_i r_i <= rho <= max_i r_i`` (which the first step reaches), so
-    only the survivors are squared, then after each squaring.  Every other
-    word gets the bracket a full pass gives it.
+    ``logs`` are the log scales of the slices, the row-normalized words of
+    one length or their Gram matrices.  The slices :func:`_dominated` finds
+    get ``[0, 0]``: first on the bounds ``min_i r_i <= rho <= max_i r_i``
+    (which the first step reaches), so only the survivors are squared, then
+    after each squaring.  Every other slice gets the bracket a full pass
+    gives it.
     """
     k, n, _ = batch.shape
-    keep, top = None, -np.inf
-    if logs is not None:
-        rows = batch.sum(axis=2)
-        gone, top = _dominated(rows.min(axis=1), rows.max(axis=1), logs, n,
-                               top)
-        del rows
-        keep = ~gone
-        logs = logs[keep]
+    rows = batch.sum(axis=2)
+    gone, top = _dominated(rows.min(axis=1), rows.max(axis=1), logs, n,
+                           -np.inf)
+    del rows
+    keep = ~gone
+    logs = logs[keep]
     # gathered straight into the shifted stack, so no second copy exists
-    p = batch.copy() if keep is None else batch[keep]
+    p = batch[keep]
     if n == 1:  # exact, where the shift below would round
-        lo, hi = p[:, 0, 0], p[:, 0, 0].copy()
+        lo = hi = p[:, 0, 0]
     else:
         m = len(p)
         best_lo = np.zeros(m)
@@ -297,11 +302,10 @@ def _batch_bracket(batch: np.ndarray, tol: float = 1e-6,
             best_lo[active], best_hi[active] = lo_a, hi_a
             # drop converged and dominated slices from the squaring loop
             open_mask = hi_a - lo_a > tol * np.maximum(1.0, hi_a - 1.0)
-            if logs is not None:
-                gone, top = _dominated(lo_a - 1.0, hi_a - 1.0, logs[active],
-                                       n, top)
-                dropped[active[gone]] = True
-                open_mask &= ~gone
+            gone, top = _dominated(lo_a - 1.0, hi_a - 1.0, logs[active], n,
+                                   top)
+            dropped[active[gone]] = True
+            open_mask &= ~gone
             if not open_mask.any():
                 break
             if not open_mask.all():
@@ -314,8 +318,6 @@ def _batch_bracket(batch: np.ndarray, tol: float = 1e-6,
         hi = np.maximum(best_hi - 1.0, lo)
         lo[dropped] = hi[dropped] = 0.0
         del p, q
-    if keep is None:
-        return lo, hi
     # after p and q are freed, row by row: other orders raised peak RSS
     out = np.zeros((2, k))
     out[0, keep], out[1, keep] = lo, hi

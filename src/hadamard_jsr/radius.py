@@ -69,7 +69,7 @@ def _normalize_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Zero slices are left as zeros with log scale -inf.
     """
-    s = _stack_norms(batch, ROW_SUM)
+    s = _stack_norms(batch, ROW_SUM, None)  # row sums read no scales
     safe = np.where(s > 0, s, 1.0)
     out = batch / safe[:, None, None]
     with np.errstate(divide="ignore"):
@@ -139,6 +139,13 @@ def _dedupe_fast(sigma: MatrixSet) -> MatrixSet:
     return dedupe(sigma) if len(sigma) <= 4096 else sigma
 
 
+def _check_search(depth: int, word_budget: int | None) -> None:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if word_budget is not None and word_budget < 1:
+        raise ValueError("word_budget must be >= 1")
+
+
 def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
           word_budget: int | None, *, skip_single: bool = False):
     """Deduped members of ``sigma`` and the bracketed words of every length
@@ -148,10 +155,7 @@ def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
     needing more than ``cap`` words raises ``CapExceeded``.  With
     ``skip_single`` a one-member set gets no levels.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if word_budget is not None and word_budget < 1:
-        raise ValueError("word_budget must be >= 1")
+    _check_search(depth, word_budget)
     members = _dedupe_fast(sigma).members
     k = members.shape[0]
     if k == 1 and skip_single:
@@ -170,8 +174,8 @@ def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
         if m > 1:
             batch, extra = _normalize_batch(_pairwise(np.matmul, batch, base))
             logs = (logs[:, None] + base_logs[None, :]).reshape(-1) + extra
-        lo, hi = _batch_bracket(batch, logs=logs)
-        norm_logs = _log0(_stack_norms(batch, kind)) + logs
+        lo, hi = _batch_bracket(batch, logs)
+        norm_logs = _log0(_stack_norms(batch, kind, logs)) + logs
         levels.append(_Level(m, _log0(lo) + logs, _log0(hi) + logs,
                              float(np.max(norm_logs))))
     return members, levels
@@ -307,6 +311,7 @@ def symmetrization_sequence_ab(psi: MatrixSet, alpha: float, beta: float,
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _check_search(depth, word_budget)
     level_sets = [
         _dedupe_fast(symmetrize_ab(set_power(psi, 2 ** n), alpha, beta))
         for n in range(n_max + 1)]

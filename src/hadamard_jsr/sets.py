@@ -107,11 +107,11 @@ def _check_dims(*sets: MatrixSet) -> int:
     return dim
 
 
-def _check_cap(count: int, cap: int) -> None:
-    if count > cap:
+def _check_cap(count: int) -> None:
+    if count > MEMBER_CAP:
         raise CapExceeded(
             f"constructed set would have {count} members, exceeding the "
-            f"cap of {cap}", cap=cap)
+            f"cap of {MEMBER_CAP}", cap=MEMBER_CAP)
 
 
 def _pairwise(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,28 +121,27 @@ def _pairwise(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return op(a[:, None], b[None, :]).reshape(-1, n, n)
 
 
-def set_product(psi: MatrixSet, sigma: MatrixSet,
-                cap: int = MEMBER_CAP) -> MatrixSet:
+def set_product(psi: MatrixSet, sigma: MatrixSet) -> MatrixSet:
     """All pairwise products ``{A @ B : A in psi, B in sigma}``."""
     _check_dims(psi, sigma)
-    _check_cap(len(psi) * len(sigma), cap)
+    _check_cap(len(psi) * len(sigma))
     return MatrixSet(_pairwise(np.matmul, psi.members, sigma.members))
 
 
-def _fold(op, sets, cap: int = MEMBER_CAP) -> MatrixSet:
+def _fold(op, sets) -> MatrixSet:
     """``op(...op(op(s1, s2), s3)..., sm)``, e.g. the product ``s1⋯sm``."""
     out = sets[0]
     for s in sets[1:]:
-        out = op(out, s, cap=cap)
+        out = op(out, s)
     return out
 
 
-def set_power(sigma: MatrixSet, m: int, cap: int = MEMBER_CAP) -> MatrixSet:
+def set_power(sigma: MatrixSet, m: int) -> MatrixSet:
     """All length-``m`` products of members of ``sigma``, left to right."""
     if m < 1:
         raise ValueError("set power requires m >= 1")
-    _check_cap(len(sigma) ** m, cap)
-    return _fold(set_product, [sigma] * m, cap)
+    _check_cap(len(sigma) ** m)
+    return _fold(set_product, [sigma] * m)
 
 
 def set_hadamard_power(psi: MatrixSet, t: float) -> MatrixSet:
@@ -155,8 +154,7 @@ def set_hadamard_power(psi: MatrixSet, t: float) -> MatrixSet:
     return MatrixSet(out)
 
 
-def set_hadamard_mean(sets, w: WeightVector,
-                      cap: int = MEMBER_CAP) -> MatrixSet:
+def set_hadamard_mean(sets, w: WeightVector) -> MatrixSet:
     """Weighted Hadamard geometric mean of sets: all entrywise products
     ``A_1**w_1 * ... * A_m**w_m`` over member tuples.
 
@@ -171,18 +169,17 @@ def set_hadamard_mean(sets, w: WeightVector,
     count = 1
     for s in sets:
         count *= len(s)
-    _check_cap(count, cap)
+    _check_cap(count)
     batch = sets[0].members ** w.weights[0]
     for s, wk in zip(sets[1:], w.weights[1:]):
         batch = _pairwise(np.multiply, batch, s.members ** wk)
     return MatrixSet(batch)
 
 
-def set_sum(psi: MatrixSet, sigma: MatrixSet,
-            cap: int = MEMBER_CAP) -> MatrixSet:
+def set_sum(psi: MatrixSet, sigma: MatrixSet) -> MatrixSet:
     """All pairwise sums ``{A + B : A in psi, B in sigma}``."""
     _check_dims(psi, sigma)
-    _check_cap(len(psi) * len(sigma), cap)
+    _check_cap(len(psi) * len(sigma))
     return MatrixSet(_pairwise(np.add, psi.members, sigma.members))
 
 
@@ -192,17 +189,16 @@ def set_adjoint(psi: MatrixSet) -> MatrixSet:
                      name=psi.name)
 
 
-def cyclic_factor(sets, j: int, cap: int = MEMBER_CAP) -> MatrixSet:
+def cyclic_factor(sets, j: int) -> MatrixSet:
     """Cyclic product ``Psi_j ... Psi_m Psi_1 ... Psi_{j-1}`` (1-indexed)."""
     sets = list(sets)
     m = len(sets)
     if not 1 <= j <= m:
         raise ValueError(f"cyclic index {j} out of range 1..{m}")
-    return _fold(set_product, sets[j - 1:] + sets[:j - 1], cap)
+    return _fold(set_product, sets[j - 1:] + sets[:j - 1])
 
 
-def _pair_mean(f: MatrixSet, g: MatrixSet, a: float, b: float,
-               cap: int = MEMBER_CAP) -> MatrixSet:
+def _pair_mean(f: MatrixSet, g: MatrixSet, a: float, b: float) -> MatrixSet:
     """``{F**(a) o G**(b) : F in f, G in g}`` for ``a + b >= 1``, with the
     missing factor convention of :func:`symmetrize_ab`."""
     if b == 0:
@@ -210,8 +206,7 @@ def _pair_mean(f: MatrixSet, g: MatrixSet, a: float, b: float,
     if a == 0:
         return set_hadamard_power(g, b) if b != 1 else g
     return set_hadamard_mean(
-        [f, g], WeightVector((a, b), SUPER if a + b > 1 else CONVEX),
-        cap=cap)
+        [f, g], WeightVector((a, b), SUPER if a + b > 1 else CONVEX))
 
 
 def _kernel_exponents(x: float, name: str = "alpha") -> tuple[float, float]:
@@ -221,8 +216,7 @@ def _kernel_exponents(x: float, name: str = "alpha") -> tuple[float, float]:
     return x, 1.0 - x
 
 
-def symmetrize_ab(psi: MatrixSet, alpha: float, beta: float,
-                  cap: int = MEMBER_CAP) -> MatrixSet:
+def symmetrize_ab(psi: MatrixSet, alpha: float, beta: float) -> MatrixSet:
     """Weighted geometric symmetrization
     ``{A**(alpha) o (B^T)**(beta) : A, B in psi}`` for ``alpha + beta >= 1``.
 
@@ -236,15 +230,14 @@ def symmetrize_ab(psi: MatrixSet, alpha: float, beta: float,
         raise RegimeError(
             f"symmetrization requires alpha + beta >= 1, got "
             f"{alpha} + {beta}")
-    return _pair_mean(psi, set_adjoint(psi), alpha, beta, cap=cap)
+    return _pair_mean(psi, set_adjoint(psi), alpha, beta)
 
 
-def symmetrize(psi: MatrixSet, alpha: float,
-               cap: int = MEMBER_CAP) -> MatrixSet:
+def symmetrize(psi: MatrixSet, alpha: float) -> MatrixSet:
     """Geometric symmetrization ``{A**(alpha) o (B^T)**(1-alpha)}`` for
     ``alpha`` in [0, 1]; endpoints follow the conventions ``S_1 = psi`` and
     ``S_0 = psi^T``."""
-    return symmetrize_ab(psi, *_kernel_exponents(alpha), cap=cap)
+    return symmetrize_ab(psi, *_kernel_exponents(alpha))
 
 
 def canonicalize(psi: MatrixSet) -> MatrixSet:

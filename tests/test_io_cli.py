@@ -196,6 +196,8 @@ def test_cli_parse_error_exit_4(tmp_path):
                   "1.5"],
                  ["radius", inst, "--depth", "0"],
                  ["symmetrize", inst, "--depth", "0"],
+                 ["symmetrize", inst, "--depth", "0", "--levels", "4"],
+                 ["symmetrize", inst, "--budget", "0", "--levels", "4"],
                  ["chain", inst, "--theorem", "refin", "--depth", "0"],
                  ["symmetrize", inst, "--levels", "-1"],
                  ["chain", inst, "--theorem", "sym-mono", "--levels", "-1"],

@@ -286,3 +286,14 @@ def test_last_axis_matches_numpy_reductions(n):
         want = ufunc.reduce(a, axis=-1)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_dominated_widens_the_upper_end():
+    # the second word's upper bound lies 4e-13 below the first word's lower
+    # bound: more than the lower end's 1e-13 n guard (n = 3), less than both
+    # guards together, so only the guard on the upper end keeps it
+    lo = np.array([1e-5, 0.0])
+    hi = np.array([1e-5, 1e-5 * (1.0 - 4e-8)])
+    gone, top = matrices._dominated(lo, hi, np.zeros(2), 3, -np.inf)
+    assert not gone[1]
+    assert top == np.log(1e-5 - 1e-13 * 3)

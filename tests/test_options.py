@@ -1,6 +1,7 @@
 """The bracket tolerance and the member cap are fixed constants of the
-certification, not per-call options: no chain or symmetrization sequence
-takes them, and every chain report still records the values it used."""
+certification, not per-call options: no chain, symmetrization sequence or
+set builder takes them, and every chain report still records the values it
+used."""
 
 import inspect
 
@@ -18,6 +19,8 @@ FIXED = [
     hj.chain_geom_sym, hj.chain_sym_mono,
     hj.run_theorem, hj.assess,
     hj.symmetrization_sequence, hj.symmetrization_sequence_ab,
+    hj.set_product, hj.set_power, hj.set_sum, hj.set_hadamard_mean,
+    hj.cyclic_factor, hj.symmetrize_ab, hj.symmetrize,
 ]
 
 

@@ -191,36 +191,36 @@ def _queries(s, kind):
             gen_radius_lower(s, 4))
 
 
-def _bracket_everything(batch, logs):
-    # without log scales no word is pruned
-    return _batch_bracket(batch)
+def _dominates_nothing(lo, hi, logs, n, top):
+    # the drop rule of a full pass, which prunes no slice
+    return np.zeros(len(lo), dtype=bool), top
 
 
 def _assert_skip_exact(s, kind):
     levels = []
 
     def spy(batch, logs):
-        levels.append((batch.copy(), logs.copy(),
-                       _batch_bracket(batch, logs=logs)))
+        levels.append((batch.copy(), logs.copy(), _batch_bracket(batch, logs)))
         return levels[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(radius, "_batch_bracket", spy)
         pruned = _queries(s, kind)
-    for batch, logs, (lo, hi) in levels:
-        full_lo, full_hi = _batch_bracket(batch)
-        # words bracketed to the end match a full pass bit for bit; the
-        # skipped and dropped ones get [0, 0]
-        exact = (lo == full_lo) & (hi == full_hi)
-        assert not lo[~exact].any() and not hi[~exact].any()
-        if not exact.all():
-            lo_log = radius._log0(full_lo) + logs
-            hi_log = radius._log0(full_hi) + logs
-            # below the level's best lower bound: neither its argmax nor a
-            # refinement candidate of any query
-            assert hi_log[~exact].max() < lo_log.max()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radius, "_batch_bracket", _bracket_everything)
+        mp.setattr(matrices, "_dominated", _dominates_nothing)
+        for batch, logs, (lo, hi) in levels:
+            full_lo, full_hi = _batch_bracket(batch, logs)
+            # words bracketed to the end match a full pass bit for bit; the
+            # skipped and dropped ones get [0, 0]
+            exact = (lo == full_lo) & (hi == full_hi)
+            assert not lo[~exact].any() and not hi[~exact].any()
+            if not exact.all():
+                lo_log = radius._log0(full_lo) + logs
+                hi_log = radius._log0(full_hi) + logs
+                # below the level's best lower bound: neither its argmax
+                # nor a refinement candidate of any query
+                assert hi_log[~exact].max() < lo_log.max()
+        # the two-norm Gram stacks are pruned too, and bracketed in full here
         assert _queries(s, kind) == pruned
 
 
@@ -249,7 +249,7 @@ def _pruning_stages(monkeypatch, sigma, depth):
 
     def spy_bracket(batch, logs):
         levels.append([])
-        return _batch_bracket(batch, logs=logs)
+        return _batch_bracket(batch, logs)
 
     def spy_dominated(*args):
         gone, top = dominated(*args)

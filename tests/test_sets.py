@@ -151,7 +151,7 @@ def test_dedupe_with_tolerance():
 def test_cap_enforced():
     a = matrix_set([np.eye(2)] * 20)
     with pytest.raises(CapExceeded):
-        set_power(a, 5, cap=1000)
+        set_power(a, 5)
 
 
 def test_sets_equal_ignores_order_and_duplicates():
