@@ -6,6 +6,10 @@ set-radius brackets raised to nonnegative exponents.  Verification checks
 segment, and bracket overlap for equality links.  A bracket-based check can
 never prove a true theorem false, so a "violated" verdict flags an
 implementation bug and must be loud.
+
+Set brackets come from one bounded process-wide cache keyed on the member
+stack and ``(depth, norm, budget)``, so chains that share a set bracket it
+once; a cached bracket is the bracket a fresh call returns.
 """
 
 from __future__ import annotations
@@ -63,21 +67,32 @@ class ChainReport:
         return asdict(self)
 
 
+# set brackets kept per process; the oldest entry is evicted first
+_CACHE_SIZE = 512
+_brackets: dict = {}
+
+
 class _Evaluator:
-    """Caches set-radius brackets across the links of one chain."""
+    """Builds the links of one chain from set brackets at one
+    ``(depth, norm, budget)``, each read through the process-wide cache."""
 
     def __init__(self, depth: int, norm: str, budget: int):
         self.depth = depth
         self.norm = norm
         self.budget = budget
-        self._cache: dict = {}
 
     def set_bracket(self, ms: MatrixSet) -> RadiusBracket:
-        key = (ms.dim, ms.members.tobytes())
-        if key not in self._cache:
-            self._cache[key] = radius_bracket_set(
-                ms, self.depth, self.norm, word_budget=self.budget)
-        return self._cache[key]
+        import hashlib  # here, so callers without set chains skip its 4 ms
+        # the shape too: (4, 1, 1) and (1, 2, 2) stacks can share bytes
+        key = (ms.members.shape, hashlib.blake2b(ms.members).digest(),
+               self.depth, self.norm, self.budget)
+        if key not in _brackets:
+            b = radius_bracket_set(ms, self.depth, self.norm,
+                                   word_budget=self.budget)
+            if len(_brackets) >= _CACHE_SIZE:
+                del _brackets[next(iter(_brackets))]
+            _brackets[key] = b
+        return _brackets[key]
 
     def link(self, label: str, factors, relation: str) -> ChainLink:
         """``factors``: list of (MatrixSet, exponent) with exponent >= 0."""

@@ -125,7 +125,11 @@ def set_product(psi: MatrixSet, sigma: MatrixSet) -> MatrixSet:
     """All pairwise products ``{A @ B : A in psi, B in sigma}``."""
     _check_dims(psi, sigma)
     _check_cap(len(psi) * len(sigma))
-    return MatrixSet(_pairwise(np.matmul, psi.members, sigma.members))
+    with np.errstate(over="ignore"):
+        out = _pairwise(np.matmul, psi.members, sigma.members)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("set product overflowed to infinity")
+    return MatrixSet(out)
 
 
 def _fold(op, sets) -> MatrixSet:
@@ -148,7 +152,8 @@ def set_hadamard_power(psi: MatrixSet, t: float) -> MatrixSet:
     """Entrywise power applied to every member."""
     if not t > 0:
         raise ValueError(f"Hadamard power requires t > 0, got {t}")
-    out = psi.members ** t
+    with np.errstate(over="ignore"):
+        out = psi.members ** t
     if not np.all(np.isfinite(out)):
         raise ValueError("Hadamard power overflowed to infinity")
     return MatrixSet(out)

@@ -1,6 +1,7 @@
 """Instance files, seeded generation, and the command-line surface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadamard_jsr import (GeneratorParams, InstanceFormatError, SplitMix64,
-                          generate_instance, parse_instance,
+                          chains, generate_instance, parse_instance,
                           serialize_instance, sets_equal)
 from hadamard_jsr.cli import _build_parser, run_command
 
@@ -217,6 +218,20 @@ def test_cli_cap_exceeded_exit_3(tmp_path):
                         str(tmp_path / "never.json")]) == 3
 
 
+def test_cli_symmetrize_overflow_names_the_product(tmp_path, capsys):
+    # rho ≈ 2.06, so the 2^10-th power of the lone member passes 1e308
+    inst = _gen(tmp_path, seed=0, sets=1, size=1)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(["symmetrize", str(inst), "--levels", "10",
+                            "--out", str(tmp_path / "never.csv")])
+    assert code == 4
+    assert capsys.readouterr().err == \
+        "error: set product overflowed to infinity\n"
+    assert not [w for w in caught if w.category is RuntimeWarning]
+
+
 def test_cli_verify_all_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert run_command(["verify-all", "--seeds", "0..2", "--out",
@@ -225,3 +240,17 @@ def test_cli_verify_all_deterministic(tmp_path):
                         str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert "violated=0" in a.read_text().splitlines()[-1]
+
+
+def test_cli_verify_all_cold_runs_agree(tmp_path):
+    # two runs on an empty bracket cache, then one on the cache they filled
+    outs, codes = [], []
+    for run, cold in enumerate((True, True, False)):
+        if cold:
+            chains._brackets.clear()
+        out = tmp_path / f"{run}.txt"
+        codes.append(run_command(["verify-all", "--seeds", "0..2", "--out",
+                                  str(out)]))
+        outs.append(out.read_bytes())
+    assert codes[0] == codes[1] == codes[2]
+    assert outs[0] == outs[1] == outs[2]
