@@ -164,10 +164,10 @@ def _stack_norms(batch: np.ndarray, kind: str, logs) -> np.ndarray:
     Only ``spectral`` reads ``logs``: it brackets the Gram matrices, scaled
     by ``exp(2 logs)``, under the pruning of :func:`_batch_bracket`, so only
     its largest scaled value is exact and pruned slices read 0."""
-    if kind == ROW_SUM:
-        return batch.sum(axis=2).max(axis=1)
-    if kind == COL_SUM:
-        return batch.sum(axis=1).max(axis=1)
+    if kind in (ROW_SUM, COL_SUM):
+        # the transposed view sums as ``batch.sum(axis=1)`` does, bit for bit
+        sums = batch if kind == ROW_SUM else batch.transpose(0, 2, 1)
+        return _last_axis(np.maximum, _last_axis(np.add, sums))
     if kind == SPECTRAL:
         gram = np.matmul(batch.transpose(0, 2, 1), batch)
         hi = _batch_bracket(gram, 2 * logs, tol=_SPECTRAL_TOL,
@@ -274,9 +274,9 @@ def _batch_bracket(batch: np.ndarray, logs: np.ndarray, tol: float = 1e-6,
     gives it.
     """
     k, n, _ = batch.shape
-    rows = batch.sum(axis=2)
-    gone, top = _dominated(rows.min(axis=1), rows.max(axis=1), logs, n,
-                           -np.inf)
+    rows = _last_axis(np.add, batch)
+    gone, top = _dominated(_last_axis(np.minimum, rows),
+                           _last_axis(np.maximum, rows), logs, n, -np.inf)
     del rows
     keep = ~gone
     logs = logs[keep]

@@ -148,7 +148,8 @@ def _check_search(depth: int, word_budget: int | None) -> None:
 
 def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
           word_budget: int | None, *, skip_single: bool = False):
-    """Deduped members of ``sigma`` and the bracketed words of every length
+    """Members of ``sigma``, which the caller has deduped with
+    :func:`_dedupe_fast`, and the bracketed words of every length
     ``m <= depth``, as ``(members, levels)``.
 
     With a ``word_budget`` the depth is cut to fit it; without one, a depth
@@ -156,7 +157,7 @@ def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
     ``skip_single`` a one-member set gets no levels.
     """
     _check_search(depth, word_budget)
-    members = _dedupe_fast(sigma).members
+    members = sigma.members
     k = members.shape[0]
     if k == 1 and skip_single:
         return members, []
@@ -245,7 +246,8 @@ def gen_radius_lower(sigma: MatrixSet, depth: int, *,
     rho(w)^(1/m)`` for the generalized spectral radius, with a witness
     naming the maximizing word (indices refer to the deduped, canonically
     ordered member list)."""
-    members, levels = _scan(sigma, depth, ROW_SUM, cap, word_budget)
+    members, levels = _scan(_dedupe_fast(sigma), depth, ROW_SUM, cap,
+                            word_budget)
     lower, (m, word) = _refine_best(members, levels, tol)
     return lower, _witness_text(sigma.name, m, word)
 
@@ -255,7 +257,8 @@ def joint_radius_upper(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
                        word_budget: int | None = None) -> float:
     """Certified upper bound ``min_{m<=depth} (max_{w in sigma^m}
     ||w||)^(1/m)`` for the joint spectral radius."""
-    return _norm_bound(_scan(sigma, depth, kind, cap, word_budget)[1])
+    return _norm_bound(
+        _scan(_dedupe_fast(sigma), depth, kind, cap, word_budget)[1])
 
 
 def radius_bracket_set(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
@@ -263,6 +266,13 @@ def radius_bracket_set(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
                        word_budget: int | None = None) -> RadiusBracket:
     """Simultaneous bracket for the generalized and joint spectral radius
     (they coincide for finite sets of finite matrices)."""
+    return _deduped_bracket(_dedupe_fast(sigma), depth, kind, tol, cap,
+                            word_budget)
+
+
+def _deduped_bracket(sigma: MatrixSet, depth: int, kind: str, tol: float,
+                     cap: int, word_budget: int | None) -> RadiusBracket:
+    """:func:`radius_bracket_set` of a set that :func:`_dedupe_fast` gave."""
     members, levels = _scan(sigma, depth, kind, cap, word_budget,
                             skip_single=True)
     if not levels:
@@ -280,7 +290,8 @@ def gelfand_sequence(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
                      tol: float = DEFAULT_TOL, cap: int = WORD_CAP,
                      word_budget: int | None = None) -> GelfandSequence:
     """Per-depth lower and upper values (not the running envelopes)."""
-    members, levels = _scan(sigma, depth, kind, cap, word_budget)
+    members, levels = _scan(_dedupe_fast(sigma), depth, kind, cap,
+                            word_budget)
     return GelfandSequence(tuple(
         (lev.m, _refine_best(members, [lev], tol)[0], _norm_bound([lev]))
         for lev in levels), kind)
@@ -319,7 +330,6 @@ def symmetrization_sequence_ab(psi: MatrixSet, alpha: float, beta: float,
                        for s in level_sets])
     levels = []
     for n, s in enumerate(level_sets):
-        b = radius_bracket_set(s, d, kind, tol=_LEVEL_TOL,
-                               word_budget=word_budget)
+        b = _deduped_bracket(s, d, kind, _LEVEL_TOL, WORD_CAP, word_budget)
         levels.append((n, b.powered(2.0 ** -n)))
     return SymmetrizationSequence(alpha, beta, tuple(levels))

@@ -175,9 +175,13 @@ def set_hadamard_mean(sets, w: WeightVector) -> MatrixSet:
     for s in sets:
         count *= len(s)
     _check_cap(count)
-    batch = sets[0].members ** w.weights[0]
-    for s, wk in zip(sets[1:], w.weights[1:]):
-        batch = _pairwise(np.multiply, batch, s.members ** wk)
+    # an overflowed factor times a zero entry is NaN, hence ``invalid``
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = sets[0].members ** w.weights[0]
+        for s, wk in zip(sets[1:], w.weights[1:]):
+            batch = _pairwise(np.multiply, batch, s.members ** wk)
+    if not np.all(np.isfinite(batch)):
+        raise ValueError("Hadamard mean overflowed to infinity")
     return MatrixSet(batch)
 
 
@@ -185,7 +189,11 @@ def set_sum(psi: MatrixSet, sigma: MatrixSet) -> MatrixSet:
     """All pairwise sums ``{A + B : A in psi, B in sigma}``."""
     _check_dims(psi, sigma)
     _check_cap(len(psi) * len(sigma))
-    return MatrixSet(_pairwise(np.add, psi.members, sigma.members))
+    with np.errstate(over="ignore"):
+        out = _pairwise(np.add, psi.members, sigma.members)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("set sum overflowed to infinity")
+    return MatrixSet(out)
 
 
 def set_adjoint(psi: MatrixSet) -> MatrixSet:

@@ -232,6 +232,21 @@ def test_cli_symmetrize_overflow_names_the_product(tmp_path, capsys):
     assert not [w for w in caught if w.category is RuntimeWarning]
 
 
+def test_cli_symmetrize_overflow_names_the_hadamard_mean(tmp_path, capsys):
+    # squaring both factors of entries near 1e100 passes 1e308
+    inst = _gen(tmp_path, seed=0, sets=1, size=2, scale=1e100)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(["symmetrize", str(inst), "--alpha", "2",
+                            "--alpha2", "2", "--levels", "0",
+                            "--out", str(tmp_path / "never.csv")])
+    assert code == 4
+    assert capsys.readouterr().err == \
+        "error: Hadamard mean overflowed to infinity\n"
+    assert not [w for w in caught if w.category is RuntimeWarning]
+
+
 def test_cli_verify_all_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert run_command(["verify-all", "--seeds", "0..2", "--out",

@@ -288,6 +288,51 @@ def test_last_axis_matches_numpy_reductions(n):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _wide_stack(n):
+    # zeros, entries spanning 1e-300 to 1e300, and slices of entries in
+    # [0, 1) whose sums round in the order they are added
+    rng = np.random.default_rng(100 + n)
+    a = rng.random((400, n, n)) * 10.0 ** rng.integers(-300, 300, (400, n, n))
+    a[::2] = rng.random((200, n, n))
+    a[rng.random(a.shape) < 0.2] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_stack_norms_match_numpy_reductions(n):
+    a = _wide_stack(n)
+    for kind, axis in ((ROW_SUM, 2), (COL_SUM, 1)):
+        want = a.sum(axis=axis).max(axis=1)
+        assert matrices._stack_norms(a, kind, None).tobytes() == \
+            want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_batch_bracket_row_sum_stage_matches_numpy(n, monkeypatch):
+    # row-normalized words with their log scales, as the word scan has them
+    a = _wide_stack(n)
+    norms = a.sum(axis=2).max(axis=1)
+    norms[norms == 0] = 1.0
+    a /= norms[:, None, None]
+    logs = np.log(norms)
+    got = matrices._batch_bracket(a, logs)
+    rows = a.sum(axis=2)
+    dominated, stage = matrices._dominated, []
+
+    def numpy_row_sum_stage(lo, hi, *rest):
+        if not stage:  # the row-sum stage, with numpy's reductions
+            stage.append((lo, hi))
+            lo, hi = rows.min(axis=1), rows.max(axis=1)
+        return dominated(lo, hi, *rest)
+
+    monkeypatch.setattr(matrices, "_dominated", numpy_row_sum_stage)
+    assert matrices._batch_bracket(a, logs).tobytes() == got.tobytes()
+    # the stage itself is bit for bit numpy's, not only its outcome
+    (lo, hi), = stage
+    assert lo.tobytes() == rows.min(axis=1).tobytes()
+    assert hi.tobytes() == rows.max(axis=1).tobytes()
+
+
 def test_dominated_widens_the_upper_end():
     # the second word's upper bound lies 4e-13 below the first word's lower
     # bound: more than the lower end's 1e-13 n guard (n = 3), less than both

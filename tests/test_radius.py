@@ -285,6 +285,25 @@ def test_coarse_pass_drops_dominated_words(monkeypatch):
     assert dropped > passed / 2
 
 
+def test_symmetrization_dedupes_each_level_set_once(monkeypatch):
+    s = matrix_set([np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 1.0],
+                              [0.0, 1.0, 3.0]]),
+                    np.array([[2.0, 0.0, 1.0], [1.0, 0.5, 0.0],
+                              [1.0, 1.0, 1.0]])])
+    sizes = []
+    dedupe = radius.dedupe
+
+    def spy(psi, *args):
+        sizes.append(len(psi))
+        return dedupe(psi, *args)
+
+    monkeypatch.setattr(radius, "dedupe", spy)
+    symmetrization_sequence(s, 0.5, 3, 6)
+    # the level sets of 4, 16 and 256 members; the one of 65,536 members
+    # is scanned as it is
+    assert sizes == [4, 16, 256]
+
+
 def _refine_by_tuple_sort(members, levels, tol):
     # _refine_best with its candidates in a plain list of (hi, m, index)
     # tuples, sorted highest first

@@ -81,6 +81,19 @@ def test_hadamard_mean_weight_count_mismatch():
         set_hadamard_mean([a, b], uniform_weights(3))
 
 
+def test_sum_and_mean_name_an_overflow():
+    big = matrix_set([np.array([[1e308, 0.0], [0.0, 1.0]])])
+    with np.errstate(all="raise"):  # no numpy warning escapes either
+        with pytest.raises(ValueError, match="set sum overflowed"):
+            set_sum(big, big)
+        with pytest.raises(ValueError, match="Hadamard mean overflowed"):
+            set_hadamard_mean([big, big], WeightVector((1.0, 1.0), SUPER))
+        # an overflowed power times a zero entry is NaN, not infinity
+        zero = matrix_set([np.array([[0.0, 1.0], [1.0, 1.0]])])
+        with pytest.raises(ValueError, match="Hadamard mean overflowed"):
+            set_hadamard_mean([big, zero], WeightVector((2.0, 1.0), SUPER))
+
+
 def test_adjoint_is_involution():
     a, _ = two_sets()
     assert sets_equal(set_adjoint(set_adjoint(a)), a)
