@@ -133,7 +133,8 @@ def induced_norm(a, kind: str = ROW_SUM) -> float:
     certified upper bound.
     """
     # a lone slice is never dropped, so its scale is moot
-    return float(_stack_norms(check_matrix(a)[None], kind, np.zeros(1))[0])
+    return float(_stack_norms(check_matrix(a)[None], kind, np.zeros(1),
+                              np.array([0, 1]))[0])
 
 
 def _last_axis(ufunc, a: np.ndarray) -> np.ndarray:
@@ -158,19 +159,20 @@ def _last_axis(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stack_norms(batch: np.ndarray, kind: str, logs) -> np.ndarray:
+def _stack_norms(batch: np.ndarray, kind: str, logs, bounds) -> np.ndarray:
     """Induced ``kind`` norm of every slice of a ``(k, n, n)`` stack with log
     scales ``logs``, with ``spectral`` rounded up to a certified upper bound.
-    Only ``spectral`` reads ``logs``: it brackets the Gram matrices, scaled
-    by ``exp(2 logs)``, under the pruning of :func:`_batch_bracket`, so only
-    its largest scaled value is exact and pruned slices read 0."""
+    Only ``spectral`` reads ``logs`` and the word-length boundaries
+    ``bounds``: it brackets the Gram matrices, scaled by ``exp(2 logs)``,
+    under the pruning of :func:`_batch_bracket`, so only each length's
+    largest scaled value is exact and pruned slices read 0."""
     if kind in (ROW_SUM, COL_SUM):
         # the transposed view sums as ``batch.sum(axis=1)`` does, bit for bit
         sums = batch if kind == ROW_SUM else batch.transpose(0, 2, 1)
         return _last_axis(np.maximum, _last_axis(np.add, sums))
     if kind == SPECTRAL:
         gram = np.matmul(batch.transpose(0, 2, 1), batch)
-        hi = _batch_bracket(gram, 2 * logs, tol=_SPECTRAL_TOL,
+        hi = _batch_bracket(gram, 2 * logs, bounds, tol=_SPECTRAL_TOL,
                             squarings=60)[1]
         return np.sqrt(hi) * (1.0 + _SPECTRAL_TOL)
     raise ValueError(f"unknown norm kind {kind!r}")
@@ -234,27 +236,39 @@ def _collatz_wielandt(c: np.ndarray, tol: float) -> tuple[float, float, int]:
 
 
 def _dominated(lo: np.ndarray, hi: np.ndarray, logs: np.ndarray, n: int,
-               top: float) -> tuple[np.ndarray, float]:
-    """Mask of the words another word dominates, and the new ``top``.
+               top: list[float], bounds) -> tuple[np.ndarray, list[float]]:
+    """Mask of the words another word of the same length dominates, and
+    the new ``top``.
 
-    ``[lo, hi]`` encloses ``rho`` of each ``n x n`` word of one length (or
-    of its Gram matrix), scaled by ``exp(logs)``; ``top`` is the best log
-    lower bound of the length so far.  A word is dominated once its log
-    upper bound is below ``top`` by more than 1e-9.  Dropping it is exact,
-    as in Gripenberg's branch-and-bound (Linear Algebra Appl. 1996): bounds
-    only tighten, so its full-pass bracket lies below the length's final
-    best lower bound, and it is neither that bound's word, nor a refinement
+    ``[lo, hi]`` encloses ``rho`` of each ``n x n`` word (or of its Gram
+    matrix), scaled by ``exp(logs)``.  The words of the ``i``-th length are
+    the slice ``bounds[i]:bounds[i + 1]``, and ``top[i]`` is that length's
+    best log lower bound so far.  A word is dominated once its log upper
+    bound is below its own length's ``top`` by more than 1e-9; a length
+    with no words keeps its ``top``.  Dropping it is exact, as in
+    Gripenberg's branch-and-bound (Linear Algebra Appl. 1996): bounds only
+    tighten, so its full-pass bracket lies below the length's final best
+    lower bound, and it is neither that bound's word, nor a refinement
     candidate of any query, nor the length's largest norm.  Both ends are
     widened by ``1e-13 n``, the few ulps of rounding by which a computed
     bound can cross the true one.
     """
     g = 1e-13 * n
     with np.errstate(divide="ignore"):
-        top = max(top, float(np.max(np.log(np.maximum(lo - g, 0.0)) + logs)))
-        return np.log(hi + g) + logs < top - 1e-9, top
+        lo_log = np.log(np.maximum(lo - g, 0.0)) + logs
+        hi_log = np.log(hi + g) + logs
+    gone = np.empty(len(lo), dtype=bool)
+    top = list(top)
+    edges = np.asarray(bounds).tolist()
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        if a < b:
+            top[i] = max(top[i], float(np.max(lo_log[a:b])))
+            np.less(hi_log[a:b], top[i] - 1e-9, out=gone[a:b])
+    return gone, top
 
 
-def _batch_bracket(batch: np.ndarray, logs: np.ndarray, tol: float = 1e-6,
+def _batch_bracket(batch: np.ndarray, logs: np.ndarray, bounds,
+                   tol: float = 1e-6,
                    squarings: int = _COARSE_SQUARINGS) -> np.ndarray:
     """Vectorized Collatz-Wielandt brackets for ``rho`` of every slice, as
     a ``(2, k)`` array of lower and upper ends.
@@ -267,18 +281,25 @@ def _batch_bracket(batch: np.ndarray, logs: np.ndarray, tol: float = 1e-6,
     on the lower side, which refinement repairs).
 
     ``logs`` are the log scales of the slices, the row-normalized words of
-    one length or their Gram matrices.  The slices :func:`_dominated` finds
-    get ``[0, 0]``: first on the bounds ``min_i r_i <= rho <= max_i r_i``
-    (which the first step reaches), so only the survivors are squared, then
-    after each squaring.  Every other slice gets the bracket a full pass
-    gives it.
+    every length or their Gram matrices; the words of the ``i``-th length
+    are ``batch[bounds[i]:bounds[i + 1]]``, so one squaring loop serves
+    every length.  The slices :func:`_dominated` finds, within their own
+    length, get ``[0, 0]``: first on the bounds
+    ``min_i r_i <= rho <= max_i r_i`` (which the first step reaches), so
+    only the survivors are squared, then after each squaring.  ``bounds``
+    follows both gathers.  Every other slice gets the bracket a full pass
+    gives it, whatever the other lengths hold.
     """
     k, n, _ = batch.shape
     rows = _last_axis(np.add, batch)
     gone, top = _dominated(_last_axis(np.minimum, rows),
-                           _last_axis(np.maximum, rows), logs, n, -np.inf)
+                           _last_axis(np.maximum, rows), logs, n,
+                           [-np.inf] * (len(bounds) - 1), bounds)
     del rows
     keep = ~gone
+    # where each length starts among the kept slices, and below among the
+    # active ones
+    bounds = np.searchsorted(np.flatnonzero(keep), bounds)
     logs = logs[keep]
     # gathered straight into the shifted stack, so no second copy exists
     p = batch[keep]
@@ -291,6 +312,7 @@ def _batch_bracket(batch: np.ndarray, logs: np.ndarray, tol: float = 1e-6,
         p += np.eye(n)
         q = p / _last_axis(np.maximum, p.reshape(m, -1))[:, None, None]
         active = np.arange(m)
+        edges = bounds
         dropped = np.zeros(m, dtype=bool)
         for _ in range(squarings):
             # q's diagonal is mathematically positive but can underflow
@@ -303,13 +325,14 @@ def _batch_bracket(batch: np.ndarray, logs: np.ndarray, tol: float = 1e-6,
             # drop converged and dominated slices from the squaring loop
             open_mask = hi_a - lo_a > tol * np.maximum(1.0, hi_a - 1.0)
             gone, top = _dominated(lo_a - 1.0, hi_a - 1.0, logs[active], n,
-                                   top)
+                                   top, edges)
             dropped[active[gone]] = True
             open_mask &= ~gone
             if not open_mask.any():
                 break
             if not open_mask.all():
                 active = active[open_mask]
+                edges = np.searchsorted(active, bounds)
                 p = p[open_mask]
                 q = q[open_mask]
             q = np.matmul(q, q)

@@ -8,10 +8,13 @@ per-word spectral-radius brackets (a vectorized coarse pass plus exact
 refinement of the maximizing candidates); upper bounds from root-normalized
 word norms, which certify the joint radius by submultiplicativity.
 
+A scan stacks the words of every length, each length a contiguous slice
+marked by ``bounds``, and brackets and norms them in one batched call.
 Within each length the coarse pass brackets only the words that can
 matter, by the exact rule of ``matrices._dominated``.  The rule is per
-length, because the Gelfand sequence refines each length alone; word norms
-and longer products still use every word.
+length, because the Gelfand sequence refines each length alone; the call
+enforces it through ``bounds``, so each length keeps its own best lower
+bound.  Word norms and longer products still use every word.
 """
 
 from __future__ import annotations
@@ -64,17 +67,17 @@ class SymmetrizationSequence:
     levels: tuple[tuple[int, RadiusBracket], ...]
 
 
-def _normalize_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divide each slice by its row-sum norm; return (batch, log scales).
+def _normalize_batch(batch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each slice divided by its row-sum norm to ``out``; return the
+    log scales.
 
     Zero slices are left as zeros with log scale -inf.
     """
-    s = _stack_norms(batch, ROW_SUM, None)  # row sums read no scales
+    s = _stack_norms(batch, ROW_SUM, None, None)  # row sums read no scales
     safe = np.where(s > 0, s, 1.0)
-    out = batch / safe[:, None, None]
+    np.divide(batch, safe[:, None, None], out=out)
     with np.errstate(divide="ignore"):
-        logs = np.where(s > 0, np.log(safe), -np.inf)
-    return out, logs
+        return np.where(s > 0, np.log(safe), -np.inf)
 
 
 def _word_count(k: int, depth: int) -> int:
@@ -168,17 +171,31 @@ def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
         raise CapExceeded(
             f"enumerating {k} matrices to depth {depth} needs more than "
             f"{cap} words", cap=cap)
-    base, base_logs = _normalize_batch(np.array(members))
-    batch, logs = base, base_logs
-    levels = []
-    for m in range(1, depth + 1):
-        if m > 1:
-            batch, extra = _normalize_batch(_pairwise(np.matmul, batch, base))
-            logs = (logs[:, None] + base_logs[None, :]).reshape(-1) + extra
-        lo, hi = _batch_bracket(batch, logs)
-        norm_logs = _log0(_stack_norms(batch, kind, logs)) + logs
-        levels.append(_Level(m, _log0(lo) + logs, _log0(hi) + logs,
-                             float(np.max(norm_logs))))
+    # every length's words in one stack, length m in the slice
+    # bounds[m - 1]:bounds[m], so one batched call brackets them all
+    bounds = np.cumsum([0] + [k ** m for m in range(1, depth + 1)])
+    n = members.shape[1]
+    words = np.empty((bounds[-1], n, n))
+    logs = np.empty(bounds[-1])
+    logs[:k] = _normalize_batch(members, words[:k])
+    base, base_logs = words[:k], logs[:k]
+    for m in range(2, depth + 1):
+        prev = slice(bounds[m - 2], bounds[m - 1])
+        cur = slice(bounds[m - 1], bounds[m])
+        extra = _normalize_batch(_pairwise(np.matmul, words[prev], base),
+                                 words[cur])
+        logs[cur] = (logs[prev][:, None]
+                     + base_logs[None, :]).reshape(-1) + extra
+    # the norms first: the bracket's temporaries then reuse the memory the
+    # norms' temporaries freed, so the heap grows less per scan and the
+    # 65,536-word symmetrization levels take fewer page faults
+    norm_logs = np.maximum.reduceat(
+        _log0(_stack_norms(words, kind, logs, bounds)) + logs, bounds[:-1])
+    lo, hi = _batch_bracket(words, logs, bounds)
+    lo_log, hi_log = _log0(lo) + logs, _log0(hi) + logs
+    levels = [_Level(m, lo_log[a:b], hi_log[a:b], float(top))
+              for m, (a, b, top) in enumerate(
+                  zip(bounds, bounds[1:], norm_logs), 1)]
     return members, levels
 
 
@@ -299,7 +316,7 @@ def gelfand_sequence(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
 
 def symmetrization_sequence(psi: MatrixSet, alpha: float, n_max: int,
                             depth: int, kind: str = ROW_SUM, *,
-                            word_budget: int = 20_000
+                            word_budget: int | None = 20_000
                             ) -> SymmetrizationSequence:
     """Monotone bound sequence ``r_n = r(S_alpha(psi^(2^n)))^(2^-n)``."""
     a, b = _kernel_exponents(alpha)
@@ -310,7 +327,7 @@ def symmetrization_sequence(psi: MatrixSet, alpha: float, n_max: int,
 
 def symmetrization_sequence_ab(psi: MatrixSet, alpha: float, beta: float,
                                n_max: int, depth: int, kind: str = ROW_SUM, *,
-                               word_budget: int = 20_000
+                               word_budget: int | None = 20_000
                                ) -> SymmetrizationSequence:
     """Weighted variant ``r_n = r(S_{alpha,beta}(psi^(2^n)))^(2^-n)`` for
     ``alpha + beta >= 1``; the terminal comparison target is
@@ -319,6 +336,8 @@ def symmetrization_sequence_ab(psi: MatrixSet, alpha: float, beta: float,
     A uniform search depth across levels keeps the finite-depth lower
     maxima provably monotone (each length-2m word over ``S(psi^(2^n))`` is
     entrywise dominated by a length-m word over ``S(psi^(2^(n+1)))``).
+    A ``word_budget`` of ``None`` cuts no depth, as in the radius queries:
+    a level needing more than ``WORD_CAP`` words raises ``CapExceeded``.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -326,8 +345,8 @@ def symmetrization_sequence_ab(psi: MatrixSet, alpha: float, beta: float,
     level_sets = [
         _dedupe_fast(symmetrize_ab(set_power(psi, 2 ** n), alpha, beta))
         for n in range(n_max + 1)]
-    d = min([depth] + [_feasible_depth(len(s), word_budget)
-                       for s in level_sets])
+    d = depth if word_budget is None else min(
+        [depth] + [_feasible_depth(len(s), word_budget) for s in level_sets])
     levels = []
     for n, s in enumerate(level_sets):
         b = _deduped_bracket(s, d, kind, _LEVEL_TOL, WORD_CAP, word_budget)

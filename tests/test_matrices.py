@@ -303,7 +303,7 @@ def test_stack_norms_match_numpy_reductions(n):
     a = _wide_stack(n)
     for kind, axis in ((ROW_SUM, 2), (COL_SUM, 1)):
         want = a.sum(axis=axis).max(axis=1)
-        assert matrices._stack_norms(a, kind, None).tobytes() == \
+        assert matrices._stack_norms(a, kind, None, None).tobytes() == \
             want.tobytes()
 
 
@@ -315,7 +315,9 @@ def test_batch_bracket_row_sum_stage_matches_numpy(n, monkeypatch):
     norms[norms == 0] = 1.0
     a /= norms[:, None, None]
     logs = np.log(norms)
-    got = matrices._batch_bracket(a, logs)
+    # three word lengths, bracketed in one call
+    bounds = np.array([0, 40, 160, 400])
+    got = matrices._batch_bracket(a, logs, bounds)
     rows = a.sum(axis=2)
     dominated, stage = matrices._dominated, []
 
@@ -326,7 +328,8 @@ def test_batch_bracket_row_sum_stage_matches_numpy(n, monkeypatch):
         return dominated(lo, hi, *rest)
 
     monkeypatch.setattr(matrices, "_dominated", numpy_row_sum_stage)
-    assert matrices._batch_bracket(a, logs).tobytes() == got.tobytes()
+    assert matrices._batch_bracket(a, logs, bounds).tobytes() == \
+        got.tobytes()
     # the stage itself is bit for bit numpy's, not only its outcome
     (lo, hi), = stage
     assert lo.tobytes() == rows.min(axis=1).tobytes()
@@ -339,6 +342,66 @@ def test_dominated_widens_the_upper_end():
     # guards together, so only the guard on the upper end keeps it
     lo = np.array([1e-5, 0.0])
     hi = np.array([1e-5, 1e-5 * (1.0 - 4e-8)])
-    gone, top = matrices._dominated(lo, hi, np.zeros(2), 3, -np.inf)
+    gone, top = matrices._dominated(lo, hi, np.zeros(2), 3, [-np.inf],
+                                    [0, 2])
     assert not gone[1]
-    assert top == np.log(1e-5 - 1e-13 * 3)
+    assert top == [np.log(1e-5 - 1e-13 * 3)]
+
+
+def test_dominated_keeps_each_length_to_its_own_top():
+    # the first length's best lower bound lies far above every word of the
+    # second; each length is pruned against its own best only, and a
+    # length with no words left keeps its top
+    lo = np.array([1.0, 0.1, 1e-3, 1e-6])
+    hi = np.array([1.0, 0.2, 1e-3, 1e-5])
+    gone, top = matrices._dominated(lo, hi, np.zeros(4), 2,
+                                    [-np.inf, -np.inf], [0, 2, 4])
+    assert gone.tolist() == [False, True, False, True]
+    assert top == [np.log(1.0 - 2e-13), np.log(1e-3 - 2e-13)]
+    gone, kept = matrices._dominated(lo[:2], hi[:2], np.zeros(2), 2, top,
+                                     [0, 2, 2])
+    assert gone.tolist() == [False, True]
+    assert kept == top
+
+
+@st.composite
+def length_stacks(draw):
+    # row-normalized words of several lengths with their log scales, as the
+    # word scan stacks them: zero words (log -inf), lengths with no words,
+    # single-length stacks, n = 1, and lengths reduced to their best word at
+    # the row-sum stage by one word far above the rest
+    n = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5)
+                 .filter(any))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    words, logs = [], []
+    for size in sizes:
+        a = rng.random((size, n, n)) * (rng.random((size, n, n)) < draw(
+            st.sampled_from([0.3, 0.7, 1.0])))
+        if draw(st.booleans()):
+            a[rng.random(size) < 0.3] = 0.0
+        norms = a.sum(axis=2).max(axis=1)
+        safe = np.where(norms > 0, norms, 1.0)
+        spread = draw(st.sampled_from([0.1, 3.0, 30.0]))
+        lg = np.log(safe) + spread * rng.standard_normal(size)
+        if size and draw(st.booleans()):
+            lg[rng.integers(size)] += 100.0
+        words.append(a / safe[:, None, None])
+        logs.append(np.where(norms > 0, lg, -np.inf))
+    return (np.concatenate(words), np.concatenate(logs),
+            np.cumsum([0] + sizes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(length_stacks())
+def test_one_call_brackets_each_length_as_its_own_call(stack):
+    batch, logs, bounds = stack
+    spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    got = matrices._batch_bracket(batch, logs, bounds)
+    want = np.concatenate([matrices._batch_bracket(
+        batch[a:b], logs[a:b], [0, b - a]) for a, b in spans], axis=1)
+    assert got.tobytes() == want.tobytes()
+    got = matrices._stack_norms(batch, SPECTRAL, logs, bounds)
+    want = np.concatenate([matrices._stack_norms(
+        batch[a:b], SPECTRAL, logs[a:b], [0, b - a]) for a, b in spans])
+    assert got.tobytes() == want.tobytes()

@@ -143,6 +143,17 @@ def test_depth_must_be_positive_every_query(query, bad, members):
         query(s, **search)
 
 
+@pytest.mark.parametrize("query", _ENTRY_POINTS.values(),
+                         ids=list(_ENTRY_POINTS))
+def test_no_word_budget_cuts_no_depth_every_query(query):
+    # no budget searches the full depth, as a budget every word fits does,
+    # and a depth past WORD_CAP words raises CapExceeded instead of a cut
+    s = golden_pair()
+    assert query(s, 4, word_budget=None) == query(s, 4, word_budget=10 ** 6)
+    with pytest.raises(CapExceeded):
+        query(s, 40, word_budget=None)
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_word_count_rule(k, d):
@@ -191,7 +202,7 @@ def _queries(s, kind):
             gen_radius_lower(s, 4))
 
 
-def _dominates_nothing(lo, hi, logs, n, top):
+def _dominates_nothing(lo, hi, logs, n, top, bounds):
     # the drop rule of a full pass, which prunes no slice
     return np.zeros(len(lo), dtype=bool), top
 
@@ -199,9 +210,12 @@ def _dominates_nothing(lo, hi, logs, n, top):
 def _assert_skip_exact(s, kind):
     levels = []
 
-    def spy(batch, logs):
-        levels.append((batch.copy(), logs.copy(), _batch_bracket(batch, logs)))
-        return levels[-1][2]
+    def spy(batch, logs, bounds):
+        out = _batch_bracket(batch, logs, bounds)
+        # one call brackets every length; each length is checked alone
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            levels.append((batch[a:b].copy(), logs[a:b].copy(), out[:, a:b]))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(radius, "_batch_bracket", spy)
@@ -209,7 +223,7 @@ def _assert_skip_exact(s, kind):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrices, "_dominated", _dominates_nothing)
         for batch, logs, (lo, hi) in levels:
-            full_lo, full_hi = _batch_bracket(batch, logs)
+            full_lo, full_hi = _batch_bracket(batch, logs, [0, len(batch)])
             # words bracketed to the end match a full pass bit for bit; the
             # skipped and dropped ones get [0, 0]
             exact = (lo == full_lo) & (hi == full_hi)
@@ -243,17 +257,23 @@ def test_row_sum_skip_guards_rounding(t):
 
 def _pruning_stages(monkeypatch, sigma, depth):
     # per level, the mask of every pruning stage in order: the row-sum stage
-    # first, then one per squaring of the loop
+    # first, then one per squaring of the loop; one call brackets every
+    # length, so each stage's mask is split at its bounds, and a length
+    # that has left the loop gets no more stages
     levels = []
     dominated = matrices._dominated
 
-    def spy_bracket(batch, logs):
-        levels.append([])
-        return _batch_bracket(batch, logs)
+    def spy_bracket(batch, logs, bounds):
+        levels.extend([] for _ in bounds[1:])
+        return _batch_bracket(batch, logs, bounds)
 
     def spy_dominated(*args):
         gone, top = dominated(*args)
-        levels[-1].append(gone)
+        bounds = args[-1]
+        first = len(levels) - (len(bounds) - 1)
+        for stages, a, b in zip(levels[first:], bounds[:-1], bounds[1:]):
+            if a < b:
+                stages.append(gone[a:b])
         return gone, top
 
     monkeypatch.setattr(radius, "_batch_bracket", spy_bracket)
