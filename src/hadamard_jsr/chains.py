@@ -21,9 +21,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matrices import (DEFAULT_TOL, ROW_SUM, RadiusBracket, check_matrix,
-                       hadamard_product, spectral_radius_bracket,
-                       weighted_hadamard_geometric_mean)
+from .matrices import (_NOT_FINITE, DEFAULT_TOL, ROW_SUM, RadiusBracket,
+                       check_matrix, spectral_radius_bracket)
 from .radius import radius_bracket_set, symmetrization_sequence_ab
 from .sets import (CONVEX, SUPER, MEMBER_CAP, MatrixSet, WeightVector,
                    _fold, _kernel_exponents, _pair_mean, cyclic_factor,
@@ -164,6 +163,17 @@ def _report(theorem_id: str, links, context: dict,
 # ---------------------------------------------------------------------------
 # single-matrix chains
 
+def _derived_brackets(*mats) -> list[RadiusBracket]:
+    """Brackets of matrices derived from validated inputs, in which a
+    non-finite entry, the one the bracket's check rejects, is an overflow."""
+    try:
+        return [spectral_radius_bracket(x) for x in mats]
+    except ValueError as exc:
+        if str(exc) != _NOT_FINITE:
+            raise
+        raise ValueError("zhan-chain product overflowed to infinity") from None
+
+
 def chain_zhan(a, b, beta: float) -> ChainReport:
     """Hadamard-product spectral radius chain for a pair of nonnegative
     matrices, plus the transposed-product branch."""
@@ -171,24 +181,20 @@ def chain_zhan(a, b, beta: float) -> ChainReport:
     if a.shape != b.shape:
         raise DimensionMismatch("matrices must share a dimension")
     b_ab, b_ba = _kernel_exponents(beta, "beta")
-    ab = a @ b
-    ba = b @ a
-    r = spectral_radius_bracket
-    r_had, r_ab = r(hadamard_product(a, b)), r(ab)
-    sq_ab, sq_ba = r(hadamard_product(ab, ab)), r(hadamard_product(ba, ba))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
+        ab, ba = a @ b, b @ a
+        derived = (a * b, ab, ab * ab, ba * ba, (a * a) @ (b * b), ab * ba)
+    r_had, r_ab, sq_ab, sq_ba, r_sq, r_mix = _derived_brackets(*derived)
     links = (
         ChainLink("r(A∘B)", r_had, LEQ),
-        ChainLink("r((A∘A)(B∘B))^(1/2)",
-                  r(hadamard_product(a, a) @ hadamard_product(b, b))
-                  .powered(0.5), LEQ),
+        ChainLink("r((A∘A)(B∘B))^(1/2)", r_sq.powered(0.5), LEQ),
         ChainLink("r(AB∘AB)^(β/2)·r(BA∘BA)^((1-β)/2)",
                   _bracket_product([(sq_ab, b_ab / 2), (sq_ba, b_ba / 2)],
                                    max(sq_ab.depth, sq_ba.depth),
                                    sq_ba.norm), LEQ),
         ChainLink("r(AB)", r_ab, END),
         ChainLink("r(A∘B)", r_had, LEQ),
-        ChainLink("r(AB∘BA)^(1/2)",
-                  r(hadamard_product(ab, ba)).powered(0.5), LEQ),
+        ChainLink("r(AB∘BA)^(1/2)", r_mix.powered(0.5), LEQ),
         ChainLink("r(AB)", r_ab, END),
     )
     return _report("zhan-chain", links, {"beta": beta, "tol": DEFAULT_TOL})
@@ -203,17 +209,16 @@ def chain_huang(mats) -> ChainReport:
     for x in mats[1:]:
         if x.shape != mats[0].shape:
             raise DimensionMismatch("matrices must share a dimension")
-    w = [1.0 / m] * m
-    cyclic = [reduce(np.matmul, mats[j:] + mats[:j]) for j in range(m)]
-    full = cyclic[0]
-    r = spectral_radius_bracket
+    w = 1.0 / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        cyclic = [reduce(np.matmul, mats[j:] + mats[:j]) for j in range(m)]
+        means = [reduce(np.multiply, [x ** w for x in xs])
+                 for xs in (mats, cyclic)]
+    r_mean, r_cyc, r_full = _derived_brackets(*means, cyclic[0])
     links = (
-        ChainLink("r(A1^(1/m)∘…∘Am^(1/m))",
-                  r(weighted_hadamard_geometric_mean(mats, w)), LEQ),
-        ChainLink("r(P1^(1/m)∘…∘Pm^(1/m))^(1/m)",
-                  r(weighted_hadamard_geometric_mean(cyclic, w))
-                  .powered(1.0 / m), LEQ),
-        ChainLink("r(A1⋯Am)^(1/m)", r(full).powered(1.0 / m), END),
+        ChainLink("r(A1^(1/m)∘…∘Am^(1/m))", r_mean, LEQ),
+        ChainLink("r(P1^(1/m)∘…∘Pm^(1/m))^(1/m)", r_cyc.powered(w), LEQ),
+        ChainLink("r(A1⋯Am)^(1/m)", r_full.powered(w), END),
     )
     return _report("zhan-chain", links, {"m": m, "tol": DEFAULT_TOL})
 

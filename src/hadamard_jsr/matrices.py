@@ -9,6 +9,7 @@ place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -22,6 +23,7 @@ DEFAULT_TOL = 1e-9
 _SPECTRAL_TOL = 1e-12
 _MAX_SQUARINGS = 256
 _COARSE_SQUARINGS = 10
+_NOT_FINITE = "matrix entries must be finite (no NaN/inf)"
 
 
 def check_matrix(a) -> np.ndarray:
@@ -31,9 +33,10 @@ def check_matrix(a) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionMismatch(
             f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite (no NaN/inf)")
-    if np.any(a < 0):
+    # the ufuncs' own reductions, without np.all's and np.any's Python layers
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
+        raise ValueError(_NOT_FINITE)
+    if np.logical_or.reduce(a < 0, axis=None):
         raise ValueError("matrix entries must be nonnegative")
     return a
 
@@ -107,10 +110,7 @@ def weighted_hadamard_geometric_mean(matrices, weights) -> np.ndarray:
         raise ValueError("weights must be positive")
     for m in mats[1:]:
         _check_same_dim(mats[0], m)
-    out = mats[0] ** w[0]
-    for m, wk in zip(mats[1:], w[1:]):
-        out = out * m ** wk
-    return out
+    return reduce(np.multiply, [m ** wk for m, wk in zip(mats, w)])
 
 
 def matrix_product(a, b) -> np.ndarray:
@@ -211,19 +211,19 @@ def _collatz_wielandt(c: np.ndarray, tol: float) -> tuple[float, float, int]:
         v = float(c[0, 0])
         return v, v, 1
     p = c + np.eye(n)
-    q = p / p.max()
+    q = p / np.maximum.reduce(p, axis=None)
     best_lo, best_hi = 0.0, np.inf
     for s in range(1, _MAX_SQUARINGS + 1):
         # q @ ones is mathematically positive (positive diagonal) but may
         # underflow; the clamp keeps x a valid positive test vector.
-        x = np.maximum(q.sum(axis=1), 1e-300)
+        x = np.maximum(np.add.reduce(q, axis=1), 1e-300)
         ratios = (p @ x) / x
-        best_lo = max(best_lo, float(ratios.min()))
-        best_hi = min(best_hi, float(ratios.max()))
+        best_lo = max(best_lo, float(np.minimum.reduce(ratios)))
+        best_hi = min(best_hi, float(np.maximum.reduce(ratios)))
         if best_hi - best_lo <= tol * max(1.0, best_hi - 1.0):
             return max(best_lo - 1.0, 0.0), best_hi - 1.0, s
         q = q @ q
-        top = q.max()
+        top = np.maximum.reduce(q, axis=None)
         if top == 0:  # the power underflowed; further squarings are NaN
             break
         q /= top
@@ -389,14 +389,18 @@ def spectral_radius_bracket(a, tol: float = DEFAULT_TOL) -> RadiusBracket:
     The matrix is split into strongly connected components; the spectral
     radius is the maximum over the (irreducible) diagonal blocks, each of
     which is bracketed by Collatz-Wielandt iteration on the primitive
-    shift ``block + I``.
+    shift ``block + I``; a positive matrix (irreducible, by Perron-Frobenius)
+    or a single component is bracketed whole.
     """
     a = check_matrix(a)
     if not tol > 0:
         raise ValueError("tol must be positive")
+    comps = (() if np.logical_and.reduce(a > 0, axis=None)
+             else _strongly_connected_components(a > 0))
+    blocks = ([a] if len(comps) < 2
+              else [a.take(c, 0).take(c, 1) for c in comps])
     lo, hi, depth = 0.0, 0.0, 1
-    for comp in _strongly_connected_components(a > 0):
-        sub = a[np.ix_(comp, comp)]
+    for sub in blocks:
         c_lo, c_hi, c_depth = _block_bracket(sub, tol)
         lo = max(lo, c_lo)
         hi = max(hi, c_hi)

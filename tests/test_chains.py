@@ -1,5 +1,7 @@
 """Inequality/equality chain evaluation and verdict logic."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hadamard_jsr import (ROW_SUM, ChainLink, GeneratorParams, RadiusBracket,
                           chain_powers, chain_refin, chain_sym_mono,
                           chain_zhan, generate_instance, matrix_set,
                           run_theorem, scalar_mitr_check, uniform_weights)
+from hadamard_jsr import chains, matrices, sets
 from hadamard_jsr.oracle import oracle_spectral_radius
 
 
@@ -142,6 +145,39 @@ def test_chain_huang_middle_link_strict_generic():
     rep = chain_huang([rng.random((3, 3)) for _ in range(2)])
     assert rep.verdict == "verified"
     assert min(rep.margins) > 1e-6
+
+
+def test_single_matrix_chains_validate_each_matrix_once(monkeypatch):
+    calls = []
+    real = matrices.check_matrix
+
+    def spy(a):
+        calls.append(a)
+        return real(a)
+
+    for module in (matrices, chains, sets):
+        monkeypatch.setattr(module, "check_matrix", spy)
+    rng = np.random.default_rng(3)
+    a, b, c = (rng.random((3, 3)) for _ in range(3))
+    chain_zhan(a, b, 0.4)
+    assert len(calls) == 8  # the two inputs and the six bracketed matrices
+    calls.clear()
+    chain_huang([a, b, c])
+    assert len(calls) == 6  # the three inputs and the three bracketed ones
+
+
+def test_single_matrix_chains_name_an_overflow():
+    big = np.full((2, 2), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^zhan-chain product "
+                                             "overflowed to infinity$"):
+            chain_zhan(big, big, 0.5)
+        # the cyclic product overflows, and inf times the zeros of the
+        # identity is NaN
+        with pytest.raises(ValueError, match="^zhan-chain product "
+                                             "overflowed to infinity$"):
+            chain_huang([big, big, np.eye(2)])
 
 
 # --- set chains -------------------------------------------------------------

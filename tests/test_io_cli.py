@@ -247,6 +247,22 @@ def test_cli_symmetrize_overflow_names_the_hadamard_mean(tmp_path, capsys):
     assert not [w for w in caught if w.category is RuntimeWarning]
 
 
+def test_cli_zhan_chain_overflow_names_the_product(tmp_path, capsys):
+    # entries near 1e200: A∘B and AB pass 1e308
+    inst = _gen(tmp_path, seed=0, sets=1, size=2, scale=1e200)
+    for argv in (["chain", str(inst), "--theorem", "zhan-chain"],
+                 ["verify-all", "--seeds", "0", "--scale", "1e200",
+                  "--size", "1"]):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_command(argv + ["--out", str(tmp_path / "never")])
+        assert code == 4, argv
+        assert capsys.readouterr().err == \
+            "error: zhan-chain product overflowed to infinity\n"
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
+
 def test_cli_verify_all_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert run_command(["verify-all", "--seeds", "0..2", "--out",

@@ -46,6 +46,27 @@ def test_check_matrix_rejects_nan_inf():
         check_matrix(np.array([[np.inf]]))
 
 
+@pytest.mark.parametrize("a, kind, message", [
+    ([[np.nan]], ValueError, "matrix entries must be finite (no NaN/inf)"),
+    ([[1.0, np.inf], [0.0, 1.0]], ValueError,
+     "matrix entries must be finite (no NaN/inf)"),
+    ([[-np.inf]], ValueError, "matrix entries must be finite (no NaN/inf)"),
+    ([[1.0, -0.5], [0.0, 1.0]], ValueError,
+     "matrix entries must be nonnegative"),
+    (np.ones((2, 3)), DimensionMismatch,
+     "expected a nonempty square matrix, got shape (2, 3)"),
+    (np.ones((0, 0)), DimensionMismatch,
+     "expected a nonempty square matrix, got shape (0, 0)"),
+    (np.ones(3), DimensionMismatch,
+     "expected a nonempty square matrix, got shape (3,)"),
+])
+def test_check_matrix_errors_keep_their_types_and_messages(a, kind, message):
+    with pytest.raises(ValueError) as exc:
+        check_matrix(a)
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
+
+
 def test_hadamard_product_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         hadamard_product(np.ones((2, 2)), np.ones((3, 3)))
@@ -235,6 +256,74 @@ def test_radius_transpose_invariance(a):
     b2 = spectral_radius_bracket(a.T)
     assert abs(b1.lo - b2.lo) <= 1e-7 * max(1.0, b1.hi)
     assert abs(b1.hi - b2.hi) <= 1e-7 * max(1.0, b1.hi)
+
+
+# --- whole-matrix paths of the split -----------------------------------------
+
+def _split_bracket(a):
+    """The split as every matrix once went through it: all components from
+    the boolean closure, each block gathered with ``np.ix_``."""
+    a = check_matrix(a)
+    lo, hi, depth = 0.0, 0.0, 1
+    for comp in matrices._strongly_connected_components(a > 0):
+        c_lo, c_hi, c_depth = matrices._block_bracket(
+            a[np.ix_(comp, comp)], matrices.DEFAULT_TOL)
+        lo, hi, depth = max(lo, c_lo), max(hi, c_hi), max(depth, c_depth)
+    return RadiusBracket(min(lo, hi), hi, depth, ROW_SUM)
+
+
+def _outcome(bracket, a) -> str:
+    try:
+        return repr(bracket(a))
+    except ConvergenceError as exc:
+        return repr((str(exc), exc.bracket))
+
+
+@st.composite
+def patterned_matrices(draw):
+    # positive, irreducible with zeros, reducible and nilpotent matrices,
+    # their indices permuted so that components interleave
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["positive", "irreducible", "reducible",
+                                 "nilpotent"]))
+    a = draw(arrays(np.float64, (n, n), elements=st.floats(1e-3, 1.0)))
+    mask = draw(arrays(np.bool_, (n, n)))
+    if kind == "irreducible":  # a cycle through every index
+        mask[np.arange(n), (np.arange(n) + 1) % n] = True
+    elif kind == "reducible":  # no edge from the last rows to the first
+        k = draw(st.integers(1, max(1, n - 1)))
+        mask[k:, :k] = False
+    elif kind == "nilpotent":
+        mask = np.triu(mask, 1)
+    if kind != "positive":
+        a = a * mask
+    perm = draw(st.permutations(range(n)))
+    return a[np.ix_(perm, perm)] * draw(st.sampled_from([1e-6, 1.0, 1e6]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterned_matrices())
+def test_whole_matrix_paths_match_the_split_bit_for_bit(a):
+    assert _outcome(spectral_radius_bracket, a) == _outcome(_split_bracket, a)
+
+
+def test_split_runs_only_where_a_matrix_has_zeros(monkeypatch):
+    splits, blocks = [], []
+    real_split, real_block = (matrices._strongly_connected_components,
+                              matrices._block_bracket)
+    monkeypatch.setattr(matrices, "_strongly_connected_components",
+                        lambda adj: splits.append(adj) or real_split(adj))
+    monkeypatch.setattr(matrices, "_block_bracket",
+                        lambda sub, tol: blocks.append(sub)
+                        or real_block(sub, tol))
+    positive = np.full((3, 3), 0.5)
+    spectral_radius_bracket(positive)
+    assert splits == [] and len(blocks) == 1 and blocks[0] is positive
+    cycle = np.roll(np.eye(3), 1, axis=1)  # one component, not gathered
+    spectral_radius_bracket(cycle)
+    assert len(splits) == 1 and len(blocks) == 2 and blocks[1] is cycle
+    spectral_radius_bracket(np.triu(positive))  # three 1x1 blocks
+    assert len(splits) == 2 and [b.shape for b in blocks[2:]] == [(1, 1)] * 3
 
 
 # --- induced norms ----------------------------------------------------------
