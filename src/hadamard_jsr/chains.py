@@ -23,7 +23,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .matrices import (_NOT_FINITE, DEFAULT_TOL, ROW_SUM, RadiusBracket,
                        check_matrix, spectral_radius_bracket)
-from .radius import radius_bracket_set, symmetrization_sequence_ab
+from .radius import (DEFAULT_WORD_BUDGET, radius_bracket_set,
+                     symmetrization_sequence_ab)
 from .sets import (CONVEX, SUPER, MEMBER_CAP, MatrixSet, WeightVector,
                    _fold, _kernel_exponents, _pair_mean, cyclic_factor,
                    set_adjoint, set_hadamard_mean, set_hadamard_power,
@@ -41,7 +42,6 @@ END = "end"
 VERDICT_TOL = 1e-9
 
 DEFAULT_CHAIN_DEPTH = 8
-DEFAULT_WORD_BUDGET = 20_000
 
 _HALF = WeightVector((0.5, 0.5))
 

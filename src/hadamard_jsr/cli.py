@@ -7,8 +7,9 @@ per-depth bound table as CSV), ``chain`` (one chain report as JSON),
 
 Exit codes: 0 success (including indeterminate chains, which carry a
 note), 2 a chain was violated, 3 an enumeration/member cap was exceeded,
-4 invalid input: an instance file or an option value.  Identical argv plus
-identical input files yield byte-identical output.
+4 invalid input: an instance file or an option value, 5 no bracket could
+be certified (``ConvergenceError``).  Identical argv plus identical input
+files yield byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,18 +18,20 @@ import argparse
 import json
 import sys
 
-from .chains import (DEFAULT_WORD_BUDGET, THEOREM_IDS, VIOLATED, run_theorem)
-from .errors import CapExceeded
+from .chains import THEOREM_IDS, VIOLATED, run_theorem
+from .errors import CapExceeded, ConvergenceError
 from .matrices import COL_SUM, ROW_SUM, SPECTRAL
 from .instances import GeneratorParams, generate_instance, parse_instance, \
     serialize_instance
-from .radius import gelfand_sequence, symmetrization_sequence_ab
+from .radius import (DEFAULT_WORD_BUDGET, gelfand_sequence,
+                     symmetrization_sequence_ab)
 from .sets import _kernel_exponents
 
 EXIT_OK = 0
 EXIT_VIOLATED = 2
 EXIT_CAP = 3
 EXIT_PARSE = 4
+EXIT_UNCERTIFIED = 5
 
 _NORMS = {"inf": ROW_SUM, "one": COL_SUM, "two": SPECTRAL}
 
@@ -203,6 +206,9 @@ def run_command(argv) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNCERTIFIED
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

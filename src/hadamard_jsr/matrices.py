@@ -8,6 +8,7 @@ place.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -75,6 +76,17 @@ class RadiusBracket:
         return RadiusBracket(self.lo ** e, self.hi ** e, self.depth, self.norm)
 
 
+def _overflow_checked(what: str, build, *args) -> np.ndarray:
+    """``build(*args)`` with numpy's overflow warnings silenced, which
+    raises ``ValueError`` naming ``what`` on a non-finite entry: from finite
+    operands only overflow makes one (a NaN is an overflow times zero)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = build(*args)
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
+        raise ValueError(f"{what} overflowed to infinity")
+    return out
+
+
 def hadamard_product(a, b) -> np.ndarray:
     """Entrywise product ``a[i,j] * b[i,j]``."""
     a, b = check_matrix(a), check_matrix(b)
@@ -87,10 +99,7 @@ def hadamard_power(a, t: float) -> np.ndarray:
     a = check_matrix(a)
     if not t > 0:
         raise ValueError(f"Hadamard power requires t > 0, got {t}")
-    out = a ** t
-    if not np.all(np.isfinite(out)):
-        raise ValueError("Hadamard power overflowed to infinity")
-    return out
+    return _overflow_checked("Hadamard power", operator.pow, a, t)
 
 
 def weighted_hadamard_geometric_mean(matrices, weights) -> np.ndarray:
@@ -210,7 +219,8 @@ def _collatz_wielandt(c: np.ndarray, tol: float) -> tuple[float, float, int]:
     if n == 1:
         v = float(c[0, 0])
         return v, v, 1
-    p = c + np.eye(n)
+    p = c.copy()
+    p.flat[::n + 1] += 1.0
     q = p / np.maximum.reduce(p, axis=None)
     best_lo, best_hi = 0.0, np.inf
     for s in range(1, _MAX_SQUARINGS + 1):

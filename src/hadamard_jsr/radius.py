@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .sets import (MatrixSet, _kernel_exponents, _pairwise, dedupe,
                    set_power, symmetrize_ab)
 
 WORD_CAP = 200_000
+DEFAULT_WORD_BUDGET = 20_000  # symmetrization levels, set chains and CLI
 _MAX_REFINE = 2000
 _REFINE_SLACK = 1e-10  # refinement stops within this of the best log radius
 _LEVEL_TOL = 1e-12  # bracket tolerance of each symmetrization level
@@ -44,18 +46,10 @@ class GelfandSequence:
     norm: str
 
     def lower_envelope(self) -> list[float]:
-        out, best = [], 0.0
-        for _, lo, _ in self.entries:
-            best = max(best, lo)
-            out.append(best)
-        return out
+        return list(accumulate((lo for _, lo, _ in self.entries), max))
 
     def upper_envelope(self) -> list[float]:
-        out, best = [], math.inf
-        for _, _, hi in self.entries:
-            best = min(best, hi)
-            out.append(best)
-        return out
+        return list(accumulate((hi for _, _, hi in self.entries), min))
 
 
 @dataclass(frozen=True)
@@ -150,20 +144,16 @@ def _check_search(depth: int, word_budget: int | None) -> None:
 
 
 def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
-          word_budget: int | None, *, skip_single: bool = False):
-    """Members of ``sigma``, which the caller has deduped with
-    :func:`_dedupe_fast`, and the bracketed words of every length
-    ``m <= depth``, as ``(members, levels)``.
+          word_budget: int | None) -> list[_Level]:
+    """The bracketed words of every length ``m <= depth`` over the members
+    of ``sigma``, which the caller has deduped with :func:`_dedupe_fast`.
 
     With a ``word_budget`` the depth is cut to fit it; without one, a depth
-    needing more than ``cap`` words raises ``CapExceeded``.  With
-    ``skip_single`` a one-member set gets no levels.
+    needing more than ``cap`` words raises ``CapExceeded``.
     """
     _check_search(depth, word_budget)
     members = sigma.members
     k = members.shape[0]
-    if k == 1 and skip_single:
-        return members, []
     if word_budget is not None:
         depth = min(depth, _feasible_depth(k, word_budget))
     # every level adds a word, so counting past depth cap + 1 is moot
@@ -193,10 +183,9 @@ def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
         _log0(_stack_norms(words, kind, logs, bounds)) + logs, bounds[:-1])
     lo, hi = _batch_bracket(words, logs, bounds)
     lo_log, hi_log = _log0(lo) + logs, _log0(hi) + logs
-    levels = [_Level(m, lo_log[a:b], hi_log[a:b], float(top))
-              for m, (a, b, top) in enumerate(
-                  zip(bounds, bounds[1:], norm_logs), 1)]
-    return members, levels
+    return [_Level(m, lo_log[a:b], hi_log[a:b], float(top))
+            for m, (a, b, top) in enumerate(
+                zip(bounds, bounds[1:], norm_logs), 1)]
 
 
 def _refine_best(members: np.ndarray, levels, tol: float):
@@ -263,9 +252,9 @@ def gen_radius_lower(sigma: MatrixSet, depth: int, *,
     rho(w)^(1/m)`` for the generalized spectral radius, with a witness
     naming the maximizing word (indices refer to the deduped, canonically
     ordered member list)."""
-    members, levels = _scan(_dedupe_fast(sigma), depth, ROW_SUM, cap,
-                            word_budget)
-    lower, (m, word) = _refine_best(members, levels, tol)
+    sigma = _dedupe_fast(sigma)
+    lower, (m, word) = _refine_best(
+        sigma.members, _scan(sigma, depth, ROW_SUM, cap, word_budget), tol)
     return lower, _witness_text(sigma.name, m, word)
 
 
@@ -275,7 +264,7 @@ def joint_radius_upper(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
     """Certified upper bound ``min_{m<=depth} (max_{w in sigma^m}
     ||w||)^(1/m)`` for the joint spectral radius."""
     return _norm_bound(
-        _scan(_dedupe_fast(sigma), depth, kind, cap, word_budget)[1])
+        _scan(_dedupe_fast(sigma), depth, kind, cap, word_budget))
 
 
 def radius_bracket_set(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
@@ -290,12 +279,12 @@ def radius_bracket_set(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
 def _deduped_bracket(sigma: MatrixSet, depth: int, kind: str, tol: float,
                      cap: int, word_budget: int | None) -> RadiusBracket:
     """:func:`radius_bracket_set` of a set that :func:`_dedupe_fast` gave."""
-    members, levels = _scan(sigma, depth, kind, cap, word_budget,
-                            skip_single=True)
-    if not levels:
-        b = spectral_radius_bracket(members[0], tol=tol)
+    if len(sigma) == 1:
+        _check_search(depth, word_budget)
+        b = spectral_radius_bracket(sigma.members[0], tol=tol)
         return RadiusBracket(b.lo, b.hi, depth, kind)
-    lo = _refine_best(members, levels, tol)[0]
+    levels = _scan(sigma, depth, kind, cap, word_budget)
+    lo = _refine_best(sigma.members, levels, tol)[0]
     hi = _norm_bound(levels)
     if lo > hi + tol * max(1.0, hi):
         raise SoundnessError(
@@ -307,16 +296,16 @@ def gelfand_sequence(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
                      tol: float = DEFAULT_TOL, cap: int = WORD_CAP,
                      word_budget: int | None = None) -> GelfandSequence:
     """Per-depth lower and upper values (not the running envelopes)."""
-    members, levels = _scan(_dedupe_fast(sigma), depth, kind, cap,
-                            word_budget)
+    sigma = _dedupe_fast(sigma)
     return GelfandSequence(tuple(
-        (lev.m, _refine_best(members, [lev], tol)[0], _norm_bound([lev]))
-        for lev in levels), kind)
+        (lev.m, _refine_best(sigma.members, [lev], tol)[0],
+         _norm_bound([lev]))
+        for lev in _scan(sigma, depth, kind, cap, word_budget)), kind)
 
 
 def symmetrization_sequence(psi: MatrixSet, alpha: float, n_max: int,
                             depth: int, kind: str = ROW_SUM, *,
-                            word_budget: int | None = 20_000
+                            word_budget: int | None = DEFAULT_WORD_BUDGET
                             ) -> SymmetrizationSequence:
     """Monotone bound sequence ``r_n = r(S_alpha(psi^(2^n)))^(2^-n)``."""
     a, b = _kernel_exponents(alpha)
@@ -327,7 +316,7 @@ def symmetrization_sequence(psi: MatrixSet, alpha: float, n_max: int,
 
 def symmetrization_sequence_ab(psi: MatrixSet, alpha: float, beta: float,
                                n_max: int, depth: int, kind: str = ROW_SUM, *,
-                               word_budget: int | None = 20_000
+                               word_budget: int | None = DEFAULT_WORD_BUDGET
                                ) -> SymmetrizationSequence:
     """Weighted variant ``r_n = r(S_{alpha,beta}(psi^(2^n)))^(2^-n)`` for
     ``alpha + beta >= 1``; the terminal comparison target is

@@ -9,12 +9,13 @@ semantics.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, RegimeError
-from .matrices import check_matrix
+from .matrices import _overflow_checked, check_matrix
 
 MEMBER_CAP = 200_000
 
@@ -125,11 +126,8 @@ def set_product(psi: MatrixSet, sigma: MatrixSet) -> MatrixSet:
     """All pairwise products ``{A @ B : A in psi, B in sigma}``."""
     _check_dims(psi, sigma)
     _check_cap(len(psi) * len(sigma))
-    with np.errstate(over="ignore"):
-        out = _pairwise(np.matmul, psi.members, sigma.members)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("set product overflowed to infinity")
-    return MatrixSet(out)
+    return MatrixSet(_overflow_checked("set product", _pairwise, np.matmul,
+                                       psi.members, sigma.members))
 
 
 def _fold(op, sets) -> MatrixSet:
@@ -152,11 +150,8 @@ def set_hadamard_power(psi: MatrixSet, t: float) -> MatrixSet:
     """Entrywise power applied to every member."""
     if not t > 0:
         raise ValueError(f"Hadamard power requires t > 0, got {t}")
-    with np.errstate(over="ignore"):
-        out = psi.members ** t
-    if not np.all(np.isfinite(out)):
-        raise ValueError("Hadamard power overflowed to infinity")
-    return MatrixSet(out)
+    return MatrixSet(_overflow_checked("Hadamard power", operator.pow,
+                                       psi.members, t))
 
 
 def set_hadamard_mean(sets, w: WeightVector) -> MatrixSet:
@@ -175,25 +170,21 @@ def set_hadamard_mean(sets, w: WeightVector) -> MatrixSet:
     for s in sets:
         count *= len(s)
     _check_cap(count)
-    # an overflowed factor times a zero entry is NaN, hence ``invalid``
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def mean():
         batch = sets[0].members ** w.weights[0]
         for s, wk in zip(sets[1:], w.weights[1:]):
             batch = _pairwise(np.multiply, batch, s.members ** wk)
-    if not np.all(np.isfinite(batch)):
-        raise ValueError("Hadamard mean overflowed to infinity")
-    return MatrixSet(batch)
+        return batch
+    return MatrixSet(_overflow_checked("Hadamard mean", mean))
 
 
 def set_sum(psi: MatrixSet, sigma: MatrixSet) -> MatrixSet:
     """All pairwise sums ``{A + B : A in psi, B in sigma}``."""
     _check_dims(psi, sigma)
     _check_cap(len(psi) * len(sigma))
-    with np.errstate(over="ignore"):
-        out = _pairwise(np.add, psi.members, sigma.members)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("set sum overflowed to infinity")
-    return MatrixSet(out)
+    return MatrixSet(_overflow_checked("set sum", _pairwise, np.add,
+                                       psi.members, sigma.members))
 
 
 def set_adjoint(psi: MatrixSet) -> MatrixSet:

@@ -263,6 +263,20 @@ def test_cli_zhan_chain_overflow_names_the_product(tmp_path, capsys):
         assert not [w for w in caught if w.category is RuntimeWarning]
 
 
+def test_cli_unresolvable_bracket_exits_5(tmp_path, capsys):
+    # entry ratio 1e16: the Perron vector is beyond double precision
+    inst = tmp_path / "wide.json"
+    inst.write_text(json.dumps(
+        {"dim": 2, "sets": [{"matrices": [[[0, 1], [1e16, 1]]]}]}))
+    capsys.readouterr()
+    code = run_command(["chain", str(inst), "--theorem", "zhan-chain",
+                        "--out", str(tmp_path / "never.json")])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: spectral radius bracket stuck")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_verify_all_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert run_command(["verify-all", "--seeds", "0..2", "--out",

@@ -82,8 +82,8 @@ def test_hadamard_power_values_and_overflow():
     a = np.array([[4.0, 0.0], [9.0, 1.0]])
     assert np.array_equal(hadamard_power(a, 0.5), [[2.0, 0.0], [3.0, 1.0]])
     assert np.array_equal(hadamard_power(a, 2.0), a * a)
-    with np.errstate(over="ignore"), \
-            pytest.raises(ValueError, match="overflowed"):
+    with np.errstate(all="raise"), \
+            pytest.raises(ValueError, match="Hadamard power overflowed"):
         hadamard_power(np.array([[1e200]]), 2.0)
 
 

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, CapExceeded,
-                          GeneratorParams, gelfand_sequence, gen_radius_lower,
+                          GeneratorParams, RadiusBracket, dedupe,
+                          gelfand_sequence, gen_radius_lower,
                           generate_instance, joint_radius_upper, matrix_set,
                           radius_bracket_set, spectral_radius_bracket,
                           symmetrization_sequence, symmetrization_sequence_ab)
@@ -194,6 +195,21 @@ def pruning_sets(draw):
     if draw(st.booleans()):
         members.append(members[0].copy())
     return matrix_set(members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pruning_sets(), st.sampled_from([ROW_SUM, COL_SUM, SPECTRAL]),
+       st.sampled_from([None, 50, 2000]))
+def test_radius_queries_read_one_scan(s, kind, budget):
+    # the bracket, the lower and upper bounds and the Gelfand envelope all
+    # come from the same scan of the deduped set
+    assume(len(dedupe(s)) >= 2)
+    lo = gen_radius_lower(s, 4, word_budget=budget)[0]
+    hi = joint_radius_upper(s, 4, kind, word_budget=budget)
+    assert radius_bracket_set(s, 4, kind, word_budget=budget) == \
+        RadiusBracket(min(lo, hi), max(lo, hi), 4, kind)
+    seq = gelfand_sequence(s, 4, kind, word_budget=budget)
+    assert seq.upper_envelope()[-1] == hi
 
 
 def _queries(s, kind):

@@ -86,6 +86,10 @@ def test_sum_and_mean_name_an_overflow():
     with np.errstate(all="raise"):  # no numpy warning escapes either
         with pytest.raises(ValueError, match="set sum overflowed"):
             set_sum(big, big)
+        with pytest.raises(ValueError, match="set product overflowed"):
+            set_product(big, big)
+        with pytest.raises(ValueError, match="Hadamard power overflowed"):
+            set_hadamard_power(big, 2.0)
         with pytest.raises(ValueError, match="Hadamard mean overflowed"):
             set_hadamard_mean([big, big], WeightVector((1.0, 1.0), SUPER))
         # an overflowed power times a zero entry is NaN, not infinity

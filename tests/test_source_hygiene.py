@@ -1,10 +1,10 @@
 """Dead-code checks on the library source, built on the stdlib ``ast``.
 
 Every import in ``src/hadamard_jsr/*.py`` is used in its module (or
-re-exported through ``__all__``), and every module-level name is read
-somewhere in ``src/``, ``tests/`` or ``bench/``, or listed in ``__all__``.
-Names are matched by identifier, as a linter without type information
-would.
+re-exported through ``__all__``), every module-level name is read
+somewhere in ``src/``, ``tests/`` or ``bench/``, or listed in ``__all__``,
+and every parameter of a function or lambda is read in its body.  Names
+are matched by identifier, as a linter without type information would.
 """
 
 import ast
@@ -86,3 +86,24 @@ def test_every_import_is_used(path):
 def test_every_module_name_is_referenced(path, everywhere):
     unread = _definitions(_parse(path)) - everywhere
     assert not unread, f"{path.name}: unreferenced names {sorted(unread)}"
+
+
+def _parameters(node: ast.FunctionDef | ast.Lambda) -> list[str]:
+    a = node.args
+    extra = [p for p in (a.vararg, a.kwarg) if p is not None]
+    return [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + extra]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    unread = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            names = {n.id for part in body for n in ast.walk(part)
+                     if isinstance(n, ast.Name)
+                     and not isinstance(n.ctx, ast.Store)}
+            name = getattr(node, "name", "lambda")
+            unread += [f"{name}({p})" for p in _parameters(node)
+                       if p not in names]
+    assert not unread, f"{path.name}: unread parameters {unread}"
