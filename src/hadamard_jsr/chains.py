@@ -9,7 +9,10 @@ implementation bug and must be loud.
 
 Set brackets come from one bounded process-wide cache keyed on the member
 stack and ``(depth, norm, budget)``, so chains that share a set bracket it
-once; a cached bracket is the bracket a fresh call returns.
+once; a cached bracket is the bracket a fresh call returns.  A chain's
+links record their sets, and its report brackets every set the cache
+lacks in one batched call, at most ``radius._BATCH_WORDS`` words a scan;
+a set of more than that many members is bracketed at its link.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .matrices import (_NOT_FINITE, DEFAULT_TOL, ROW_SUM, RadiusBracket,
                        check_matrix, spectral_radius_bracket)
-from .radius import (DEFAULT_WORD_BUDGET, radius_bracket_set,
-                     symmetrization_sequence_ab)
+from .radius import (_BATCH_WORDS, DEFAULT_WORD_BUDGET, WORD_CAP,
+                     _bracket_sets, _check_search, symmetrization_sequence_ab)
 from .sets import (CONVEX, SUPER, MEMBER_CAP, MatrixSet, WeightVector,
                    _fold, _kernel_exponents, _pair_mean, cyclic_factor,
                    set_adjoint, set_hadamard_mean, set_hadamard_power,
@@ -66,38 +69,109 @@ class ChainReport:
         return asdict(self)
 
 
-# set brackets kept per process; the oldest entry is evicted first
+# set brackets kept per process; the entry stored or settled longest ago
+# is evicted first
 _CACHE_SIZE = 512
 _brackets: dict = {}
 
 
+def _cache_put(key: tuple, bracket: RadiusBracket) -> None:
+    if len(_brackets) >= _CACHE_SIZE:
+        del _brackets[next(iter(_brackets))]
+    _brackets[key] = bracket
+
+
+@dataclass(frozen=True)
+class _Deferred:
+    """The bracket of a link whose factor sets are not bracketed yet:
+    ``factors`` pairs each set, or the bracket of a set too large to hold,
+    with its exponent."""
+
+    ev: "_Evaluator"
+    factors: tuple
+
+    def settled(self) -> RadiusBracket:
+        ev = self.ev
+        ev.settle()
+        parts = [(x if isinstance(x, RadiusBracket) else ev.set_bracket(x),
+                  e) for x, e in self.factors]
+        return _bracket_product(parts, ev.depth, ev.norm)
+
+
 class _Evaluator:
     """Builds the links of one chain from set brackets at one
-    ``(depth, norm, budget)``, each read through the process-wide cache."""
+    ``(depth, norm, budget)``, each read through the process-wide cache.
+
+    A link records its factor sets, and :func:`_report` brackets every
+    recorded set the cache lacks in one batched call.  A set of more than
+    ``_BATCH_WORDS`` members, whose scan is a call of its own anyway, is
+    bracketed when its link is made, so the chain does not hold it.  A
+    chain body runs in its evaluator's ``with`` block: if it raises, the
+    recorded sets are bracketed in link order first, and the first bracket
+    error is raised in its place, the error the chain meets when it
+    brackets each link as it makes it.
+    """
 
     def __init__(self, depth: int, norm: str, budget: int):
         self.depth = depth
         self.norm = norm
         self.budget = budget
+        self._recorded: list[MatrixSet] = []
 
-    def set_bracket(self, ms: MatrixSet) -> RadiusBracket:
+    def __enter__(self) -> "_Evaluator":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if isinstance(exc_info[1], Exception):
+            try:
+                self.settle()
+            except Exception as err:
+                raise err from None
+
+    def _key(self, ms: MatrixSet) -> tuple:
         import hashlib  # here, so callers without set chains skip its 4 ms
         # the shape too: (4, 1, 1) and (1, 2, 2) stacks can share bytes
-        key = (ms.members.shape, hashlib.blake2b(ms.members).digest(),
-               self.depth, self.norm, self.budget)
+        return (ms.members.shape, hashlib.blake2b(ms.members).digest(),
+                self.depth, self.norm, self.budget)
+
+    def _fresh(self, sets):
+        """Brackets of ``sets`` at this search, one at a time as asked."""
+        return _bracket_sets(sets, self.depth, self.norm, DEFAULT_TOL,
+                             WORD_CAP, self.budget)
+
+    def set_bracket(self, ms: MatrixSet) -> RadiusBracket:
+        key = self._key(ms)
         if key not in _brackets:
-            b = radius_bracket_set(ms, self.depth, self.norm,
-                                   word_budget=self.budget)
-            if len(_brackets) >= _CACHE_SIZE:
-                del _brackets[next(iter(_brackets))]
-            _brackets[key] = b
+            _cache_put(key, next(self._fresh([ms])))
         return _brackets[key]
+
+    def settle(self) -> None:
+        """Bracket the recorded sets the cache lacks, in link order and in
+        one batched call, and cache each.  A recorded set the cache holds
+        moves to its newest end, so that none is evicted before its link
+        reads it."""
+        todo = {}
+        for ms in self._recorded:
+            key = self._key(ms)
+            if key in _brackets:
+                _brackets[key] = _brackets.pop(key)
+            else:
+                todo.setdefault(key, ms)
+        self._recorded = []
+        for key, bracket in zip(todo, self._fresh(list(todo.values()))):
+            _cache_put(key, bracket)
 
     def link(self, label: str, factors, relation: str) -> ChainLink:
         """``factors``: list of (MatrixSet, exponent) with exponent >= 0."""
-        parts = [(self.set_bracket(ms), e) for ms, e in factors]
-        return ChainLink(label, _bracket_product(parts, self.depth,
-                                                 self.norm), relation)
+        _check_search(self.depth, self.budget)
+        parts = []
+        for ms, e in factors:
+            if len(ms) > _BATCH_WORDS:
+                parts.append((self.set_bracket(ms), e))
+            else:
+                self._recorded.append(ms)
+                parts.append((ms, e))
+        return ChainLink(label, _Deferred(self, tuple(parts)), relation)
 
     def context(self, **extra) -> dict:
         ctx = {"depth": self.depth, "norm": self.norm, "tol": DEFAULT_TOL,
@@ -154,7 +228,9 @@ def _bracket_product(parts, depth: int, norm: str) -> RadiusBracket:
 
 def _report(theorem_id: str, links, context: dict,
             notes=()) -> ChainReport:
-    links = tuple(links)
+    links = tuple(
+        ChainLink(link.label, link.bracket.settled(), link.relation_to_next)
+        if isinstance(link.bracket, _Deferred) else link for link in links)
     verdict, margins = assess(links)
     return ChainReport(theorem_id, links, verdict, margins,
                        notes=tuple(notes), context=context)
@@ -234,22 +310,23 @@ def chain_powers(sets, w: WeightVector, n: int,
     sets = list(sets)
     if w.regime != CONVEX:
         raise ValueError("this chain requires convex weights")
-    ev = _Evaluator(depth, norm, budget)
-    names = [s.name or f"Ψ{i + 1}" for i, s in enumerate(sets)]
-    m = len(sets)
-    mean = set_hadamard_mean(sets, w)
-    powered = set_hadamard_mean([set_power(s, n) for s in sets], w)
-    umean = set_hadamard_mean(sets, uniform_weights(m))
-    prod = _fold(set_product, sets)
-    wtxt = ",".join(f"{x:g}" for x in w.weights)
-    links = (
-        ev.link(f"r(∘-mean({','.join(names)}; {wtxt}))", [(mean, 1.0)], LEQ),
-        ev.link(f"r(∘-mean of {n}-th powers)^(1/{n})",
-                [(powered, 1.0 / n)], LEQ),
-        ev.link("Π r(Ψi)^αi", list(zip(sets, w.weights)), END),
-        ev.link("r(∘-mean uniform)", [(umean, 1.0)], LEQ),
-        ev.link(f"r(Ψ1⋯Ψ{m})^(1/{m})", [(prod, 1.0 / m)], END),
-    )
+    with _Evaluator(depth, norm, budget) as ev:
+        names = [s.name or f"Ψ{i + 1}" for i, s in enumerate(sets)]
+        m = len(sets)
+        mean = set_hadamard_mean(sets, w)
+        powered = set_hadamard_mean([set_power(s, n) for s in sets], w)
+        umean = set_hadamard_mean(sets, uniform_weights(m))
+        prod = _fold(set_product, sets)
+        wtxt = ",".join(f"{x:g}" for x in w.weights)
+        links = (
+            ev.link(f"r(∘-mean({','.join(names)}; {wtxt}))", [(mean, 1.0)],
+                    LEQ),
+            ev.link(f"r(∘-mean of {n}-th powers)^(1/{n})",
+                    [(powered, 1.0 / n)], LEQ),
+            ev.link("Π r(Ψi)^αi", list(zip(sets, w.weights)), END),
+            ev.link("r(∘-mean uniform)", [(umean, 1.0)], LEQ),
+            ev.link(f"r(Ψ1⋯Ψ{m})^(1/{m})", [(prod, 1.0 / m)], END),
+        )
     return _report("powers", links,
                    ev.context(n=n, weights=list(w.weights)))
 
@@ -268,24 +345,25 @@ def chain_refin(psi: MatrixSet, sigma: MatrixSet, beta: float,
                 budget: int = DEFAULT_WORD_BUDGET) -> ChainReport:
     """Pairwise refinement chains with the links proven equal marked "="."""
     b_ps, b_sp = _kernel_exponents(beta, "beta")
-    ev = _Evaluator(depth, norm, budget)
-    ps, sp, prod_means, mean_ps_ps, mean_sp_sp = _pair_sets(psi, sigma)
-    mean_psig = set_hadamard_mean([psi, sigma], _HALF)
-    mean_ps_sp = set_hadamard_mean([ps, sp], _HALF)
-    links = (
-        # first chain, scaled to the r(ΨΣ) level (exponent 2 on every link)
-        ev.link("r(Ψ^(1/2)∘Σ^(1/2))²", [(mean_psig, 2.0)], LEQ),
-        ev.link("r((ΨΣ)^(1/2)∘(ΣΨ)^(1/2))", [(mean_ps_sp, 1.0)], LEQ),
-        ev.link("r(ΨΣ∘-sq)^(1/2)·r(ΣΨ∘-sq)^(1/2)",
-                [(mean_ps_ps, 0.5), (mean_sp_sp, 0.5)], EQ),
-        ev.link("r(ΨΣ)", [(ps, 1.0)], END),
-        # second chain with the equality upgrades
-        ev.link("r(Ψ^(1/2)∘Σ^(1/2))²", [(mean_psig, 2.0)], LEQ),
-        ev.link("r((Ψ∘-sq)(Σ∘-sq))", [(prod_means, 1.0)], EQ),
-        ev.link("r(ΨΣ∘-sq)^β·r(ΣΨ∘-sq)^(1-β)",
-                [(mean_ps_ps, b_ps), (mean_sp_sp, b_sp)], EQ),
-        ev.link("r(ΨΣ)", [(ps, 1.0)], END),
-    )
+    with _Evaluator(depth, norm, budget) as ev:
+        ps, sp, prod_means, mean_ps_ps, mean_sp_sp = _pair_sets(psi, sigma)
+        mean_psig = set_hadamard_mean([psi, sigma], _HALF)
+        mean_ps_sp = set_hadamard_mean([ps, sp], _HALF)
+        links = (
+            # first chain, scaled to the r(ΨΣ) level (exponent 2 on every link)
+            ev.link("r(Ψ^(1/2)∘Σ^(1/2))²", [(mean_psig, 2.0)], LEQ),
+            ev.link("r((ΨΣ)^(1/2)∘(ΣΨ)^(1/2))", [(mean_ps_sp, 1.0)],
+                    LEQ),
+            ev.link("r(ΨΣ∘-sq)^(1/2)·r(ΣΨ∘-sq)^(1/2)",
+                    [(mean_ps_ps, 0.5), (mean_sp_sp, 0.5)], EQ),
+            ev.link("r(ΨΣ)", [(ps, 1.0)], END),
+            # second chain with the equality upgrades
+            ev.link("r(Ψ^(1/2)∘Σ^(1/2))²", [(mean_psig, 2.0)], LEQ),
+            ev.link("r((Ψ∘-sq)(Σ∘-sq))", [(prod_means, 1.0)], EQ),
+            ev.link("r(ΨΣ∘-sq)^β·r(ΣΨ∘-sq)^(1-β)",
+                    [(mean_ps_ps, b_ps), (mean_sp_sp, b_sp)], EQ),
+            ev.link("r(ΨΣ)", [(ps, 1.0)], END),
+        )
     return _report("refin", links, ev.context(beta=beta))
 
 
@@ -296,13 +374,15 @@ def chain_folge(psi: MatrixSet, t: float, n: int,
     for t >= 1."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    ev = _Evaluator(depth, norm, budget)
-    links = (
-        ev.link(f"r(Ψ^({t:g}))", [(set_hadamard_power(psi, t), 1.0)], LEQ),
-        ev.link(f"r((Ψ^{n})^({t:g}))^(1/{n})",
-                [(set_hadamard_power(set_power(psi, n), t), 1.0 / n)], LEQ),
-        ev.link(f"r(Ψ)^{t:g}", [(psi, t)], END),
-    )
+    with _Evaluator(depth, norm, budget) as ev:
+        links = (
+            ev.link(f"r(Ψ^({t:g}))", [(set_hadamard_power(psi, t), 1.0)],
+                    LEQ),
+            ev.link(f"r((Ψ^{n})^({t:g}))^(1/{n})",
+                    [(set_hadamard_power(set_power(psi, n), t), 1.0 / n)],
+                    LEQ),
+            ev.link(f"r(Ψ)^{t:g}", [(psi, t)], END),
+        )
     return _report("folge", links, ev.context(t=t, n=n))
 
 
@@ -315,17 +395,17 @@ def chain_kathyprop_eq(psi: MatrixSet, sigma: MatrixSet, w: WeightVector,
     if w.regime != CONVEX:
         raise ValueError("the self-mean equality requires convex weights")
     b_ps, b_sp = _kernel_exponents(beta, "beta")
-    ev = _Evaluator(depth, norm, budget)
-    self_mean = set_hadamard_mean([psi] * len(w), w)
-    ps, _, prod_means, mean_ps_ps, mean_sp_sp = _pair_sets(psi, sigma)
-    links = (
-        ev.link("r(Ψ)", [(psi, 1.0)], EQ),
-        ev.link("r(Ψ^(α1)∘…∘Ψ^(αm))", [(self_mean, 1.0)], END),
-        ev.link("r(ΨΣ)", [(ps, 1.0)], EQ),
-        ev.link("r((Ψ∘-sq)(Σ∘-sq))", [(prod_means, 1.0)], EQ),
-        ev.link("r(ΨΣ∘-sq)^β·r(ΣΨ∘-sq)^(1-β)",
-                [(mean_ps_ps, b_ps), (mean_sp_sp, b_sp)], END),
-    )
+    with _Evaluator(depth, norm, budget) as ev:
+        self_mean = set_hadamard_mean([psi] * len(w), w)
+        ps, _, prod_means, mean_ps_ps, mean_sp_sp = _pair_sets(psi, sigma)
+        links = (
+            ev.link("r(Ψ)", [(psi, 1.0)], EQ),
+            ev.link("r(Ψ^(α1)∘…∘Ψ^(αm))", [(self_mean, 1.0)], END),
+            ev.link("r(ΨΣ)", [(ps, 1.0)], EQ),
+            ev.link("r((Ψ∘-sq)(Σ∘-sq))", [(prod_means, 1.0)], EQ),
+            ev.link("r(ΨΣ∘-sq)^β·r(ΣΨ∘-sq)^(1-β)",
+                    [(mean_ps_ps, b_ps), (mean_sp_sp, b_sp)], END),
+        )
     return _report("kathyprop-eq", links,
                    ev.context(beta=beta, weights=list(w.weights)))
 
@@ -337,33 +417,33 @@ def chain_kathyprop_mat(psi: MatrixSet, m: int, alpha: float, n: int,
     """Matrix-mode chains for integer and real entrywise powers."""
     if m < 1 or alpha < 1:
         raise ValueError("need m >= 1 and alpha >= 1")
-    ev = _Evaluator(depth, norm, budget)
-    ones = WeightVector((1.0,) * m, SUPER)
-    psin = set_power(psi, n)
-    links = [
-        ev.link(f"r(Ψ^({m}))", [(set_hadamard_power(psi, float(m)), 1.0)],
-                LEQ),
-        ev.link(f"r(Ψ∘⋯∘Ψ [{m}×])",
-                [(set_hadamard_mean([psi] * m, ones), 1.0)], LEQ),
-        ev.link(f"r(Ψ^{n}∘⋯∘Ψ^{n})^(1/{n})",
-                [(set_hadamard_mean([psin] * m, ones), 1.0 / n)], LEQ),
-        ev.link(f"r(Ψ)^{m}", [(psi, float(m))], END),
-    ]
-    notes = []
-    if alpha > 1:
-        wa = WeightVector((alpha - 1.0, 1.0), SUPER)
-        links += [
-            ev.link(f"r(Ψ^({alpha:g}))",
-                    [(set_hadamard_power(psi, alpha), 1.0)], LEQ),
-            ev.link(f"r(Ψ^({alpha - 1:g})∘Ψ)",
-                    [(set_hadamard_mean([psi, psi], wa), 1.0)], LEQ),
-            ev.link(f"r((Ψ^{n})^({alpha - 1:g})∘Ψ^{n})^(1/{n})",
-                    [(set_hadamard_mean([psin, psin], wa), 1.0 / n)], LEQ),
-            ev.link(f"r(Ψ)^{alpha:g}", [(psi, alpha)], END),
+    with _Evaluator(depth, norm, budget) as ev:
+        ones = WeightVector((1.0,) * m, SUPER)
+        psin = set_power(psi, n)
+        links = [
+            ev.link(f"r(Ψ^({m}))", [(set_hadamard_power(psi, float(m)), 1.0)],
+                    LEQ),
+            ev.link(f"r(Ψ∘⋯∘Ψ [{m}×])",
+                    [(set_hadamard_mean([psi] * m, ones), 1.0)], LEQ),
+            ev.link(f"r(Ψ^{n}∘⋯∘Ψ^{n})^(1/{n})",
+                    [(set_hadamard_mean([psin] * m, ones), 1.0 / n)], LEQ),
+            ev.link(f"r(Ψ)^{m}", [(psi, float(m))], END),
         ]
-    else:
-        notes.append("alpha = 1: real-power chain degenerates to identity "
-                     "links and is skipped")
+        notes = []
+        if alpha > 1:
+            wa = WeightVector((alpha - 1.0, 1.0), SUPER)
+            links += [
+                ev.link(f"r(Ψ^({alpha:g}))",
+                        [(set_hadamard_power(psi, alpha), 1.0)], LEQ),
+                ev.link(f"r(Ψ^({alpha - 1:g})∘Ψ)",
+                        [(set_hadamard_mean([psi, psi], wa), 1.0)], LEQ),
+                ev.link(f"r((Ψ^{n})^({alpha - 1:g})∘Ψ^{n})^(1/{n})",
+                        [(set_hadamard_mean([psin, psin], wa), 1.0 / n)], LEQ),
+                ev.link(f"r(Ψ)^{alpha:g}", [(psi, alpha)], END),
+            ]
+        else:
+            notes.append("alpha = 1: real-power chain degenerates to identity "
+                         "links and is skipped")
     return _report("kathyprop-mat", links,
                    ev.context(m=m, alpha=alpha, n=n), notes)
 
@@ -382,17 +462,17 @@ def _chain_grid(theorem_id, grid, w, n, depth, norm, budget, mode, combine,
         raise ValueError(f"mode must be 'kernel' or 'matrix', got {mode!r}")
     if mode == "kernel" and w.regime != CONVEX:
         raise ValueError("kernel mode requires convex weights")
-    ev = _Evaluator(depth, norm, budget)
-    lhs = _fold(combine, [set_hadamard_mean(row, w) for row in grid])
-    cols = [_fold(combine, [row[j] for row in grid]) for j in range(m)]
-    col_mean = set_hadamard_mean(cols, w)
-    col_mean_n = set_hadamard_mean([set_power(c, n) for c in cols], w)
-    links = (
-        ev.link(labels[0], [(lhs, 1.0)], LEQ),
-        ev.link(labels[1], [(col_mean, 1.0)], LEQ),
-        ev.link(labels[2].format(n=n), [(col_mean_n, 1.0 / n)], LEQ),
-        ev.link(labels[3], list(zip(cols, w.weights)), END),
-    )
+    with _Evaluator(depth, norm, budget) as ev:
+        lhs = _fold(combine, [set_hadamard_mean(row, w) for row in grid])
+        cols = [_fold(combine, [row[j] for row in grid]) for j in range(m)]
+        col_mean = set_hadamard_mean(cols, w)
+        col_mean_n = set_hadamard_mean([set_power(c, n) for c in cols], w)
+        links = (
+            ev.link(labels[0], [(lhs, 1.0)], LEQ),
+            ev.link(labels[1], [(col_mean, 1.0)], LEQ),
+            ev.link(labels[2].format(n=n), [(col_mean_n, 1.0 / n)], LEQ),
+            ev.link(labels[3], list(zip(cols, w.weights)), END),
+        )
     return _report(theorem_id, links,
                    ev.context(k=k, m=m, n=n, mode=mode,
                               weights=list(w.weights)))
@@ -429,18 +509,19 @@ def chain_kathyth1(sets, n: int, depth: int = DEFAULT_CHAIN_DEPTH,
     """Cyclic-factor refinement at the set level, uniform weights 1/m."""
     sets = list(sets)
     m = len(sets)
-    ev = _Evaluator(depth, norm, budget)
-    w = uniform_weights(m)
-    phis = [cyclic_factor(sets, j) for j in range(1, m + 1)]
-    links = (
-        ev.link("r(∘-mean of Ψj)", [(set_hadamard_mean(sets, w), 1.0)], LEQ),
-        ev.link(f"r(∘-mean of Φj)^(1/{m})",
-                [(set_hadamard_mean(phis, w), 1.0 / m)], LEQ),
-        ev.link(f"r(∘-mean of Φj^{n})^(1/{n * m})",
-                [(set_hadamard_mean([set_power(p, n) for p in phis], w),
-                  1.0 / (n * m))], LEQ),
-        ev.link(f"r(Ψ1⋯Ψ{m})^(1/{m})", [(phis[0], 1.0 / m)], END),
-    )
+    with _Evaluator(depth, norm, budget) as ev:
+        w = uniform_weights(m)
+        phis = [cyclic_factor(sets, j) for j in range(1, m + 1)]
+        links = (
+            ev.link("r(∘-mean of Ψj)", [(set_hadamard_mean(sets, w), 1.0)],
+                    LEQ),
+            ev.link(f"r(∘-mean of Φj)^(1/{m})",
+                    [(set_hadamard_mean(phis, w), 1.0 / m)], LEQ),
+            ev.link(f"r(∘-mean of Φj^{n})^(1/{n * m})",
+                    [(set_hadamard_mean([set_power(p, n) for p in phis], w),
+                      1.0 / (n * m))], LEQ),
+            ev.link(f"r(Ψ1⋯Ψ{m})^(1/{m})", [(phis[0], 1.0 / m)], END),
+        )
     return _report("kathyth1", links, ev.context(m=m, n=n))
 
 
@@ -454,17 +535,17 @@ def chain_equalities_joint(sets, w: WeightVector, beta: float,
     if w.regime != CONVEX or len(w) != m:
         raise ValueError("need convex weights, one per set")
     exponents = _kernel_exponents(beta, "beta")
-    ev = _Evaluator(depth, norm, budget)
-    split = lambda s: _pair_mean(s, s, *exponents)
-    prod = _fold(set_product, sets)
-    split_prod = _fold(set_product, [split(s) for s in sets])
-    phis = [cyclic_factor(sets, j) for j in range(1, m + 1)]
-    links = (
-        ev.link(f"r(Ψ1⋯Ψ{m})", [(prod, 1.0)], EQ),
-        ev.link("r(Π (Ψj^(β)∘Ψj^(1-β)))", [(split_prod, 1.0)], EQ),
-        ev.link("Π r(Φj^(β)∘Φj^(1-β))^αj",
-                [(split(p), a) for p, a in zip(phis, w.weights)], END),
-    )
+    with _Evaluator(depth, norm, budget) as ev:
+        split = lambda s: _pair_mean(s, s, *exponents)
+        prod = _fold(set_product, sets)
+        split_prod = _fold(set_product, [split(s) for s in sets])
+        phis = [cyclic_factor(sets, j) for j in range(1, m + 1)]
+        links = (
+            ev.link(f"r(Ψ1⋯Ψ{m})", [(prod, 1.0)], EQ),
+            ev.link("r(Π (Ψj^(β)∘Ψj^(1-β)))", [(split_prod, 1.0)], EQ),
+            ev.link("Π r(Φj^(β)∘Φj^(1-β))^αj",
+                    [(split(p), a) for p, a in zip(phis, w.weights)], END),
+        )
     return _report("equalities-joint", links,
                    ev.context(beta=beta, m=m, weights=list(w.weights)))
 
@@ -478,58 +559,58 @@ def chain_kathyth2(sets, alpha: float, n: int,
     m = len(sets)
     if alpha < 1.0 / m:
         raise ValueError(f"alpha must be >= 1/m = {1.0 / m}")
-    ev = _Evaluator(depth, norm, budget)
-    wa = WeightVector((alpha,) * m, SUPER)
-    phis = [cyclic_factor(sets, j) for j in range(1, m + 1)]
-    phis_n = [set_power(p, n) for p in phis]
-    prod = phis[0]
-    pow_sets = [set_hadamard_power(s, alpha * m) for s in sets]
-    prod_n = set_power(prod, n)
-    lhs = ev.link("r(Ψ1^(α)∘⋯∘Ψm^(α))",
-                  [(set_hadamard_mean(sets, wa), 1.0)], LEQ)
-    end = ev.link(f"r(Ψ1⋯Ψm)^{alpha:g}", [(prod, alpha)], END)
-    # entrywise-power product route, also the tail of the cyclic-power one
-    power_route = [
-        ev.link(f"r(Ψ1^(αm)⋯Ψm^(αm))^(1/{m})",
-                [(_fold(set_product, pow_sets), 1.0 / m)], LEQ),
-        ev.link(f"r((Ψ1⋯Ψm)^(αm))^(1/{m})",
-                [(set_hadamard_power(prod, alpha * m), 1.0 / m)], LEQ),
-        ev.link(f"r(((Ψ1⋯Ψm)^{n})^(αm))^(1/{n * m})",
-                [(set_hadamard_power(prod_n, alpha * m), 1.0 / (n * m))],
-                LEQ),
-        end,
-    ]
-    mean_phis = ev.link(f"r(Φ1^(α)∘⋯)^(1/{m})",
-                        [(set_hadamard_mean(phis, wa), 1.0 / m)], LEQ)
-    mean_phis_n = ev.link(f"r((Φj^{n})^(α) ∘-mean)^(1/{m * n})",
-                          [(set_hadamard_mean(phis_n, wa), 1.0 / (m * n))],
-                          LEQ)
-    links = [lhs, mean_phis, mean_phis_n, end, lhs, *power_route]
-    notes = []
-    if alpha >= 1.0:
-        sigmas = [cyclic_factor(pow_sets, j) for j in range(1, m + 1)]
-        um = uniform_weights(m)
-        links += [
-            lhs,
-            ChainLink(f"r(∘-mean of Φj^(α))^(1/{m})", mean_phis.bracket,
-                      LEQ),
-            ChainLink(f"r(∘-mean of (Φj^{n})^(α))^(1/{m * n})",
-                      mean_phis_n.bracket, LEQ),
-            ev.link(f"(Π r((Φj^{n})^({m})))^(α/{m * m * n})",
-                    [(set_hadamard_power(p, float(m)),
-                      alpha / (m * m * n)) for p in phis_n], LEQ),
+    with _Evaluator(depth, norm, budget) as ev:
+        wa = WeightVector((alpha,) * m, SUPER)
+        phis = [cyclic_factor(sets, j) for j in range(1, m + 1)]
+        phis_n = [set_power(p, n) for p in phis]
+        prod = phis[0]
+        pow_sets = [set_hadamard_power(s, alpha * m) for s in sets]
+        prod_n = set_power(prod, n)
+        lhs = ev.link("r(Ψ1^(α)∘⋯∘Ψm^(α))",
+                      [(set_hadamard_mean(sets, wa), 1.0)], LEQ)
+        end = ev.link(f"r(Ψ1⋯Ψm)^{alpha:g}", [(prod, alpha)], END)
+        # entrywise-power product route, also the tail of the cyclic-power one
+        power_route = [
+            ev.link(f"r(Ψ1^(αm)⋯Ψm^(αm))^(1/{m})",
+                    [(_fold(set_product, pow_sets), 1.0 / m)], LEQ),
+            ev.link(f"r((Ψ1⋯Ψm)^(αm))^(1/{m})",
+                    [(set_hadamard_power(prod, alpha * m), 1.0 / m)], LEQ),
+            ev.link(f"r(((Ψ1⋯Ψm)^{n})^(αm))^(1/{n * m})",
+                    [(set_hadamard_power(prod_n, alpha * m), 1.0 / (n * m))],
+                    LEQ),
             end,
-            lhs,
-            ev.link(f"r(∘-mean of Σj^(1/{m}))^(1/{m})",
-                    [(set_hadamard_mean(sigmas, um), 1.0 / m)], LEQ),
-            ev.link(f"r(∘-mean of (Σj^{n})^(1/{m}))^(1/{m * n})",
-                    [(set_hadamard_mean([set_power(s, n) for s in sigmas],
-                                        um), 1.0 / (m * n))], LEQ),
-            *power_route,
         ]
-    else:
-        notes.append("skipped: hypothesis alpha >= 1 not met for the "
-                     "diagonal-power and cyclic-power branches")
+        mean_phis = ev.link(f"r(Φ1^(α)∘⋯)^(1/{m})",
+                            [(set_hadamard_mean(phis, wa), 1.0 / m)], LEQ)
+        mean_phis_n = ev.link(f"r((Φj^{n})^(α) ∘-mean)^(1/{m * n})",
+                              [(set_hadamard_mean(phis_n, wa), 1.0 / (m * n))],
+                              LEQ)
+        links = [lhs, mean_phis, mean_phis_n, end, lhs, *power_route]
+        notes = []
+        if alpha >= 1.0:
+            sigmas = [cyclic_factor(pow_sets, j) for j in range(1, m + 1)]
+            um = uniform_weights(m)
+            links += [
+                lhs,
+                ChainLink(f"r(∘-mean of Φj^(α))^(1/{m})", mean_phis.bracket,
+                          LEQ),
+                ChainLink(f"r(∘-mean of (Φj^{n})^(α))^(1/{m * n})",
+                          mean_phis_n.bracket, LEQ),
+                ev.link(f"(Π r((Φj^{n})^({m})))^(α/{m * m * n})",
+                        [(set_hadamard_power(p, float(m)),
+                          alpha / (m * m * n)) for p in phis_n], LEQ),
+                end,
+                lhs,
+                ev.link(f"r(∘-mean of Σj^(1/{m}))^(1/{m})",
+                        [(set_hadamard_mean(sigmas, um), 1.0 / m)], LEQ),
+                ev.link(f"r(∘-mean of (Σj^{n})^(1/{m}))^(1/{m * n})",
+                        [(set_hadamard_mean([set_power(s, n) for s in sigmas],
+                                            um), 1.0 / (m * n))], LEQ),
+                *power_route,
+            ]
+        else:
+            notes.append("skipped: hypothesis alpha >= 1 not met for the "
+                         "diagonal-power and cyclic-power branches")
     return _report("kathyth2", links, ev.context(alpha=alpha, m=m, n=n),
                    notes)
 
@@ -546,26 +627,27 @@ def chain_geom_sym(sets, alpha: float, n: int,
     sym = lambda s: symmetrize_ab(s, a, b)
     # F^(a) ∘ (G*)^(b), a zero exponent dropping its factor
     mix = lambda f, g: _pair_mean(f, set_adjoint(g), a, b)
-    ev = _Evaluator(depth, norm, budget)
-    fwd = _fold(set_product, sets)
-    bwd = _fold(set_product, sets[::-1])
-    syms = [sym(s) for s in sets]
-    sym_prod = _fold(set_product, syms)
-    total = _fold(set_sum, sets)
-    sym_sum = _fold(set_sum, syms)
-    links = (
-        ev.link("r(S(Ψ1)⋯S(Ψm))", [(sym_prod, 1.0)], LEQ),
-        ev.link("r((Ψ1⋯Ψm)^(α)∘((Ψm⋯Ψ1)*)^(β))", [(mix(fwd, bwd), 1.0)],
-                LEQ),
-        ev.link(f"r(n-th power mix)^(1/{n})",
-                [(mix(set_power(fwd, n), set_power(bwd, n)), 1.0 / n)], LEQ),
-        ev.link("r(Ψ1⋯Ψm)^α·r(Ψm⋯Ψ1)^β", [(fwd, a), (bwd, b)], END),
-        ev.link("r(S(Ψ1)+⋯+S(Ψm))", [(sym_sum, 1.0)], LEQ),
-        ev.link("r(S(Ψ1+⋯+Ψm))", [(sym(total), 1.0)], LEQ),
-        ev.link(f"r(S((Ψ1+⋯+Ψm)^{n}))^(1/{n})",
-                [(sym(set_power(total, n)), 1.0 / n)], LEQ),
-        ev.link("r(Ψ1+⋯+Ψm)^(α+β)", [(total, a + b)], END),
-    )
+    with _Evaluator(depth, norm, budget) as ev:
+        fwd = _fold(set_product, sets)
+        bwd = _fold(set_product, sets[::-1])
+        syms = [sym(s) for s in sets]
+        sym_prod = _fold(set_product, syms)
+        total = _fold(set_sum, sets)
+        sym_sum = _fold(set_sum, syms)
+        links = (
+            ev.link("r(S(Ψ1)⋯S(Ψm))", [(sym_prod, 1.0)], LEQ),
+            ev.link("r((Ψ1⋯Ψm)^(α)∘((Ψm⋯Ψ1)*)^(β))", [(mix(fwd, bwd), 1.0)],
+                    LEQ),
+            ev.link(f"r(n-th power mix)^(1/{n})",
+                    [(mix(set_power(fwd, n), set_power(bwd, n)), 1.0 / n)],
+                    LEQ),
+            ev.link("r(Ψ1⋯Ψm)^α·r(Ψm⋯Ψ1)^β", [(fwd, a), (bwd, b)], END),
+            ev.link("r(S(Ψ1)+⋯+S(Ψm))", [(sym_sum, 1.0)], LEQ),
+            ev.link("r(S(Ψ1+⋯+Ψm))", [(sym(total), 1.0)], LEQ),
+            ev.link(f"r(S((Ψ1+⋯+Ψm)^{n}))^(1/{n})",
+                    [(sym(set_power(total, n)), 1.0 / n)], LEQ),
+            ev.link("r(Ψ1+⋯+Ψm)^(α+β)", [(total, a + b)], END),
+        )
     return _report("geom-sym" if ab is None else "geom-sym-mat", links,
                    ev.context(alpha=a, beta=b, m=m, n=n))
 
@@ -577,12 +659,12 @@ def chain_sym_mono(psi: MatrixSet, alpha: float, n_max: int,
     """Monotone symmetrization sequence chain
     ``r_0 <= r_1 <= ... <= r_n <= r(Ψ)^(α+β)``."""
     a, b = _kernel_exponents(alpha) if ab is None else ab
-    ev = _Evaluator(depth, norm, budget)
-    seq = symmetrization_sequence_ab(psi, a, b, n_max, depth, norm,
-                                     word_budget=budget)
-    links = [ChainLink(f"r_{n} = r(S(Ψ^{2 ** n}))^(1/{2 ** n})", bracket,
-                       LEQ) for n, bracket in seq.levels]
-    links.append(ev.link(f"r(Ψ)^{a + b:g}", [(psi, a + b)], END))
+    with _Evaluator(depth, norm, budget) as ev:
+        seq = symmetrization_sequence_ab(psi, a, b, n_max, depth, norm,
+                                         word_budget=budget)
+        links = [ChainLink(f"r_{n} = r(S(Ψ^{2 ** n}))^(1/{2 ** n})", bracket,
+                           LEQ) for n, bracket in seq.levels]
+        links.append(ev.link(f"r(Ψ)^{a + b:g}", [(psi, a + b)], END))
     return _report("sym-mono" if ab is None else "sym-mat", links,
                    ev.context(alpha=a, beta=b, n_max=n_max))
 

@@ -8,13 +8,18 @@ per-word spectral-radius brackets (a vectorized coarse pass plus exact
 refinement of the maximizing candidates); upper bounds from root-normalized
 word norms, which certify the joint radius by submultiplicativity.
 
-A scan stacks the words of every length, each length a contiguous slice
-marked by ``bounds``, and brackets and norms them in one batched call.
-Within each length the coarse pass brackets only the words that can
-matter, by the exact rule of ``matrices._dominated``.  The rule is per
-length, because the Gelfand sequence refines each length alone; the call
-enforces it through ``bounds``, so each length keeps its own best lower
-bound.  Word norms and longer products still use every word.
+A scan stacks the words of every length of several sets, each (set,
+length) pair a contiguous slice marked by ``bounds``, and brackets and
+norms them in one batched call.  A call has a fixed cost of about half a
+millisecond against about 0.1 microseconds per small word, so the small
+sets of one chain, or the levels of one symmetrization sequence, share a
+call of at most ``_BATCH_WORDS`` words; a larger set is scanned alone.
+Within each slice the coarse pass brackets only the words that can matter,
+by the exact rule of ``matrices._dominated``.  The rule is per slice,
+because the Gelfand sequence refines each length alone; the call enforces
+it through ``bounds``, so each set and length keeps its own best lower
+bound, and each set gets the bracket a call of its own gives it.  Word
+norms and longer products still use every word.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ DEFAULT_WORD_BUDGET = 20_000  # symmetrization levels, set chains and CLI
 _MAX_REFINE = 2000
 _REFINE_SLACK = 1e-10  # refinement stops within this of the best log radius
 _LEVEL_TOL = 1e-12  # bracket tolerance of each symmetrization level
+# words per batched scan: about where a call's word work matches its fixed
+# cost, so a batch of small sets costs about one small call
+_BATCH_WORDS = 4096
 
 
 @dataclass(frozen=True)
@@ -143,39 +151,67 @@ def _check_search(depth: int, word_budget: int | None) -> None:
         raise ValueError("word_budget must be >= 1")
 
 
-def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
-          word_budget: int | None) -> list[_Level]:
-    """The bracketed words of every length ``m <= depth`` over the members
-    of ``sigma``, which the caller has deduped with :func:`_dedupe_fast`.
+def _scans(sets, depth: int, kind: str, cap: int, word_budget: int | None):
+    """The levels of each of ``sets`` in turn: the bracketed words of every
+    length ``m <= depth`` over its members, which the caller has deduped
+    with :func:`_dedupe_fast`.
 
-    With a ``word_budget`` the depth is cut to fit it; without one, a depth
-    needing more than ``cap`` words raises ``CapExceeded``.
+    With a ``word_budget`` each set's depth is cut to fit it; without one,
+    a depth needing more than ``cap`` words raises ``CapExceeded`` once
+    the sets before it are yielded.  Consecutive sets of one dimension
+    whose words fit in ``_BATCH_WORDS`` together share one batched call; a
+    larger set is scanned alone.
     """
     _check_search(depth, word_budget)
-    members = sigma.members
-    k = members.shape[0]
-    if word_budget is not None:
-        depth = min(depth, _feasible_depth(k, word_budget))
-    # every level adds a word, so counting past depth cap + 1 is moot
-    elif _word_count(k, min(depth, cap + 1)) > cap:
-        raise CapExceeded(
-            f"enumerating {k} matrices to depth {depth} needs more than "
-            f"{cap} words", cap=cap)
-    # every length's words in one stack, length m in the slice
-    # bounds[m - 1]:bounds[m], so one batched call brackets them all
-    bounds = np.cumsum([0] + [k ** m for m in range(1, depth + 1)])
-    n = members.shape[1]
+    batch, total = [], 0
+    for s in sets:
+        k = len(s)
+        if word_budget is not None:
+            d = min(depth, _feasible_depth(k, word_budget))
+        # every level adds a word, so counting past depth cap + 1 is moot
+        elif _word_count(k, min(depth, cap + 1)) > cap:
+            yield from _scan_batch(batch, kind)
+            raise CapExceeded(
+                f"enumerating {k} matrices to depth {depth} needs more "
+                f"than {cap} words", cap=cap)
+        else:
+            d = depth
+        count = _word_count(k, d)
+        if batch and (total + count > _BATCH_WORDS
+                      or s.dim != batch[0][0].dim):
+            yield from _scan_batch(batch, kind)
+            batch, total = [], 0
+        batch.append((s, d))
+        total += count
+    yield from _scan_batch(batch, kind)
+
+
+def _scan_batch(batch, kind: str):
+    """The levels of each ``(set, depth)`` of ``batch``, from one stack of
+    all their words: set by set, the words of length ``m`` in one slice
+    marked by ``bounds``, so one ``_stack_norms`` and one
+    ``_batch_bracket`` call serve every set and length."""
+    if not batch:
+        return
+    sizes = [len(s) ** m for s, d in batch for m in range(1, d + 1)]
+    bounds = np.cumsum([0] + sizes)
+    n = batch[0][0].dim
     words = np.empty((bounds[-1], n, n))
     logs = np.empty(bounds[-1])
-    logs[:k] = _normalize_batch(members, words[:k])
-    base, base_logs = words[:k], logs[:k]
-    for m in range(2, depth + 1):
-        prev = slice(bounds[m - 2], bounds[m - 1])
-        cur = slice(bounds[m - 1], bounds[m])
-        extra = _normalize_batch(_pairwise(np.matmul, words[prev], base),
-                                 words[cur])
-        logs[cur] = (logs[prev][:, None]
-                     + base_logs[None, :]).reshape(-1) + extra
+    first = 0  # index in bounds of the set's first length
+    for s, d in batch:
+        members, k = s.members, len(s)
+        a = bounds[first]
+        logs[a:a + k] = _normalize_batch(members, words[a:a + k])
+        base, base_logs = words[a:a + k], logs[a:a + k]
+        for i in range(first + 1, first + d):
+            prev = slice(bounds[i - 1], bounds[i])
+            cur = slice(bounds[i], bounds[i + 1])
+            extra = _normalize_batch(_pairwise(np.matmul, words[prev], base),
+                                     words[cur])
+            logs[cur] = (logs[prev][:, None]
+                         + base_logs[None, :]).reshape(-1) + extra
+        first += d
     # the norms first: the bracket's temporaries then reuse the memory the
     # norms' temporaries freed, so the heap grows less per scan and the
     # 65,536-word symmetrization levels take fewer page faults
@@ -183,9 +219,13 @@ def _scan(sigma: MatrixSet, depth: int, kind: str, cap: int,
         _log0(_stack_norms(words, kind, logs, bounds)) + logs, bounds[:-1])
     lo, hi = _batch_bracket(words, logs, bounds)
     lo_log, hi_log = _log0(lo) + logs, _log0(hi) + logs
-    return [_Level(m, lo_log[a:b], hi_log[a:b], float(top))
-            for m, (a, b, top) in enumerate(
-                zip(bounds, bounds[1:], norm_logs), 1)]
+    del words, lo, hi  # not held while the sets are refined
+    slices = list(zip(bounds, bounds[1:], norm_logs))
+    first = 0
+    for _, d in batch:
+        yield [_Level(m, lo_log[a:b], hi_log[a:b], float(top))
+               for m, (a, b, top) in enumerate(slices[first:first + d], 1)]
+        first += d
 
 
 def _refine_best(members: np.ndarray, levels, tol: float):
@@ -253,8 +293,8 @@ def gen_radius_lower(sigma: MatrixSet, depth: int, *,
     naming the maximizing word (indices refer to the deduped, canonically
     ordered member list)."""
     sigma = _dedupe_fast(sigma)
-    lower, (m, word) = _refine_best(
-        sigma.members, _scan(sigma, depth, ROW_SUM, cap, word_budget), tol)
+    [levels] = _scans([sigma], depth, ROW_SUM, cap, word_budget)
+    lower, (m, word) = _refine_best(sigma.members, levels, tol)
     return lower, _witness_text(sigma.name, m, word)
 
 
@@ -263,8 +303,8 @@ def joint_radius_upper(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
                        word_budget: int | None = None) -> float:
     """Certified upper bound ``min_{m<=depth} (max_{w in sigma^m}
     ||w||)^(1/m)`` for the joint spectral radius."""
-    return _norm_bound(
-        _scan(_dedupe_fast(sigma), depth, kind, cap, word_budget))
+    [levels] = _scans([_dedupe_fast(sigma)], depth, kind, cap, word_budget)
+    return _norm_bound(levels)
 
 
 def radius_bracket_set(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
@@ -272,24 +312,42 @@ def radius_bracket_set(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
                        word_budget: int | None = None) -> RadiusBracket:
     """Simultaneous bracket for the generalized and joint spectral radius
     (they coincide for finite sets of finite matrices)."""
-    return _deduped_bracket(_dedupe_fast(sigma), depth, kind, tol, cap,
-                            word_budget)
+    return next(_bracket_sets([sigma], depth, kind, tol, cap, word_budget))
 
 
-def _deduped_bracket(sigma: MatrixSet, depth: int, kind: str, tol: float,
-                     cap: int, word_budget: int | None) -> RadiusBracket:
-    """:func:`radius_bracket_set` of a set that :func:`_dedupe_fast` gave."""
-    if len(sigma) == 1:
-        _check_search(depth, word_budget)
-        b = spectral_radius_bracket(sigma.members[0], tol=tol)
-        return RadiusBracket(b.lo, b.hi, depth, kind)
-    levels = _scan(sigma, depth, kind, cap, word_budget)
-    lo = _refine_best(sigma.members, levels, tol)[0]
-    hi = _norm_bound(levels)
-    if lo > hi + tol * max(1.0, hi):
-        raise SoundnessError(
-            f"certified lower bound {lo} exceeds certified upper bound {hi}")
-    return RadiusBracket(min(lo, hi), max(lo, hi), depth, kind)
+def _bracket_sets(sets, depth: int, kind: str, tol: float, cap: int,
+                  word_budget: int | None):
+    """:func:`radius_bracket_set` of each of ``sets`` in turn."""
+    return _deduped_brackets([_dedupe_fast(s) for s in sets], depth, kind,
+                             tol, cap, word_budget)
+
+
+def _deduped_brackets(sets, depth: int, kind: str, tol: float, cap: int,
+                      word_budget: int | None):
+    """:func:`radius_bracket_set` of each of ``sets``, which
+    :func:`_dedupe_fast` gave, in turn.
+
+    The sets share the batched scans of :func:`_scans`; a one-member set
+    is bracketed as a matrix.  Each set's refinement runs when its bracket
+    is asked for, so the sets before a failing one yield their brackets
+    first, as separate calls would.
+    """
+    _check_search(depth, word_budget)
+    scans = _scans([s for s in sets if len(s) > 1], depth, kind, cap,
+                   word_budget)
+    for s in sets:
+        if len(s) == 1:
+            b = spectral_radius_bracket(s.members[0], tol=tol)
+            yield RadiusBracket(b.lo, b.hi, depth, kind)
+            continue
+        levels = next(scans)
+        lo = _refine_best(s.members, levels, tol)[0]
+        hi = _norm_bound(levels)
+        if lo > hi + tol * max(1.0, hi):
+            raise SoundnessError(
+                f"certified lower bound {lo} exceeds certified upper bound "
+                f"{hi}")
+        yield RadiusBracket(min(lo, hi), max(lo, hi), depth, kind)
 
 
 def gelfand_sequence(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
@@ -297,10 +355,10 @@ def gelfand_sequence(sigma: MatrixSet, depth: int, kind: str = ROW_SUM, *,
                      word_budget: int | None = None) -> GelfandSequence:
     """Per-depth lower and upper values (not the running envelopes)."""
     sigma = _dedupe_fast(sigma)
+    [levels] = _scans([sigma], depth, kind, cap, word_budget)
     return GelfandSequence(tuple(
         (lev.m, _refine_best(sigma.members, [lev], tol)[0],
-         _norm_bound([lev]))
-        for lev in _scan(sigma, depth, kind, cap, word_budget)), kind)
+         _norm_bound([lev])) for lev in levels), kind)
 
 
 def symmetrization_sequence(psi: MatrixSet, alpha: float, n_max: int,
@@ -336,8 +394,7 @@ def symmetrization_sequence_ab(psi: MatrixSet, alpha: float, beta: float,
         for n in range(n_max + 1)]
     d = depth if word_budget is None else min(
         [depth] + [_feasible_depth(len(s), word_budget) for s in level_sets])
-    levels = []
-    for n, s in enumerate(level_sets):
-        b = _deduped_bracket(s, d, kind, _LEVEL_TOL, WORD_CAP, word_budget)
-        levels.append((n, b.powered(2.0 ** -n)))
-    return SymmetrizationSequence(alpha, beta, tuple(levels))
+    brackets = _deduped_brackets(level_sets, d, kind, _LEVEL_TOL, WORD_CAP,
+                                 word_budget)
+    return SymmetrizationSequence(alpha, beta, tuple(
+        (n, b.powered(2.0 ** -n)) for n, b in enumerate(brackets)))

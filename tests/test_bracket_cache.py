@@ -16,16 +16,16 @@ GOLDEN = matrix_set([[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
 
 
 def _spy(monkeypatch):
-    """Keys of the calls the chains make to ``radius_bracket_set``."""
+    """Keys of the sets the chains bracket through ``_bracket_sets``."""
     keys = []
-    real = chains.radius_bracket_set
+    real = chains._bracket_sets
 
-    def spy(ms, depth, kind, **kw):
-        keys.append((ms.members.shape, ms.members.tobytes(), depth, kind,
-                     kw["word_budget"]))
-        return real(ms, depth, kind, **kw)
+    def spy(sets, depth, kind, tol, cap, word_budget):
+        keys.extend((ms.members.shape, ms.members.tobytes(), depth, kind,
+                     word_budget) for ms in sets)
+        return real(sets, depth, kind, tol, cap, word_budget)
 
-    monkeypatch.setattr(chains, "radius_bracket_set", spy)
+    monkeypatch.setattr(chains, "_bracket_sets", spy)
     return keys
 
 

@@ -15,8 +15,8 @@ import pathlib
 
 import pytest
 
-from hadamard_jsr import THEOREM_IDS, GeneratorParams, generate_instance, \
-    run_theorem
+from hadamard_jsr import THEOREM_IDS, GeneratorParams, RadiusBracket, \
+    generate_instance, run_theorem
 
 DATA = pathlib.Path(__file__).parent / "data" / "chain_structure.json"
 
@@ -52,6 +52,14 @@ def test_golden_covers_registry():
 @pytest.mark.parametrize("tid", THEOREM_IDS)
 def test_chain_structure_matches_golden(tid, config):
     assert structure(tid, config) == _golden()[f"{config}/{tid}"]
+
+
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+def test_every_link_holds_a_bracket(tid):
+    # a chain brackets its links when it reports; no placeholder is left
+    sets = generate_instance(GeneratorParams(3, 2, 2, 0.9, 1.0, 16))
+    rep = run_theorem(tid, sets, depth=3, budget=2000)
+    assert all(isinstance(link.bracket, RadiusBracket) for link in rep.links)
 
 
 if __name__ == "__main__":

@@ -277,6 +277,21 @@ def test_cli_unresolvable_bracket_exits_5(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_cli_chain_raises_the_first_links_error(tmp_path, capsys):
+    # link 1's bracket is stuck, and link 2 builds Ψ^40, which overflows:
+    # the chain reports link 1's error, the one it meets first
+    inst = tmp_path / "wide.json"
+    inst.write_text(json.dumps(
+        {"dim": 2, "sets": [{"matrices": [[[0, 1], [1e16, 1]]]}]}))
+    capsys.readouterr()
+    code = run_command(["chain", str(inst), "--theorem", "folge", "--n",
+                        "40", "--out", str(tmp_path / "never.json")])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: spectral radius bracket stuck")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_verify_all_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert run_command(["verify-all", "--seeds", "0..2", "--out",

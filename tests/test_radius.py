@@ -14,7 +14,7 @@ from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, CapExceeded,
                           generate_instance, joint_radius_upper, matrix_set,
                           radius_bracket_set, spectral_radius_bracket,
                           symmetrization_sequence, symmetrization_sequence_ab)
-from hadamard_jsr import matrices, radius
+from hadamard_jsr import chains, matrices, radius
 from hadamard_jsr.matrices import _batch_bracket
 from hadamard_jsr.oracle import oracle_gen_radius, oracle_spectral_radius
 
@@ -391,6 +391,76 @@ def test_refine_reads_candidates_in_tuple_order(monkeypatch, max_refine):
             levels.append(radius._Level(m, lo_log, hi_log, 0.0))
         assert (radius._refine_best(members, levels, 1e-9)
                 == _refine_by_tuple_sort(members, levels, 1e-9))
+
+
+# --- batched brackets of many sets -----------------------------------------
+
+@st.composite
+def same_dim_sets(draw):
+    # 1-6 sets of one dimension: one-member sets, duplicated members, zero
+    # and reducible members, up to five distinct members each
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        members = []
+        for _ in range(draw(st.integers(1, 5))):
+            shape = draw(st.sampled_from(["full", "sparse", "reducible",
+                                          "nilpotent", "zero"]))
+            a = rng.random((n, n))
+            if shape == "sparse":
+                a *= rng.random((n, n)) < 0.5
+            elif shape == "reducible":
+                a = np.triu(a)
+            elif shape == "nilpotent":
+                a = np.triu(a, 1)
+            elif shape == "zero":
+                a[:] = 0.0
+            members.append(a * 10.0 ** draw(st.integers(-2, 2)))
+        if draw(st.booleans()):
+            members.append(members[-1].copy())
+        out.append(matrix_set(members))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_dim_sets(), st.integers(1, 5),
+       st.sampled_from([None, 50, 2000]),
+       st.sampled_from([ROW_SUM, COL_SUM, SPECTRAL]))
+def test_batched_brackets_equal_one_set_brackets(sets, depth, budget, kind):
+    # bit for bit: one batched call gives each set the bracket it gets alone
+    batched = list(radius._bracket_sets(sets, depth, kind, matrices.DEFAULT_TOL,
+                                        radius.WORD_CAP, budget))
+    assert batched == [radius_bracket_set(s, depth, kind, word_budget=budget)
+                       for s in sets]
+
+
+def _count_batch_calls(monkeypatch):
+    calls = []
+    real = radius._batch_bracket
+    monkeypatch.setattr(radius, "_batch_bracket",
+                        lambda *a: calls.append(a[2]) or real(*a))
+    return calls
+
+
+def test_a_chain_brackets_its_small_sets_in_one_call(monkeypatch):
+    sets = generate_instance(GeneratorParams(3, 2, 2, 0.8, 1.0, 5))
+    calls = _count_batch_calls(monkeypatch)
+    chains.run_theorem("kathyth2", sets, depth=4, budget=4000)
+    assert len(calls) == 1
+
+
+def test_a_symmetrization_sequence_batches_its_small_levels(monkeypatch):
+    s = matrix_set([np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 1.0],
+                              [0.0, 1.0, 3.0]]),
+                    np.array([[2.0, 0.0, 1.0], [1.0, 0.5, 0.0],
+                              [1.0, 1.0, 1.0]])])
+    calls = _count_batch_calls(monkeypatch)
+    seq = symmetrization_sequence(s, 0.5, 3, 6)
+    assert len(seq.levels) == 4
+    # the levels of 4, 16 and 256 members share a call; the one of 65,536
+    # members is bracketed alone
+    assert len(calls) <= 2
 
 
 # --- symmetrization sequences -----------------------------------------------

@@ -3,6 +3,8 @@ canonical forms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard_jsr import (CONVEX, SUPER, CapExceeded, DimensionMismatch,
                           MatrixSet, RegimeError, WeightVector, canonicalize,
@@ -163,6 +165,38 @@ def test_dedupe_with_tolerance():
     s = matrix_set([x, x + 1e-12])
     assert len(dedupe(s, tol=1e-9)) == 1
     assert len(dedupe(s)) == 2
+
+
+def _dedupe_by_unique(psi, tol):
+    # the reference: np.unique's rows, then the greedy tolerance pass
+    rows = np.unique(psi.members.reshape(len(psi), -1), axis=0)
+    kept = []
+    for row in rows:
+        if not any(np.max(np.abs(row - k)) <= tol for k in kept):
+            kept.append(row)
+    return np.stack(kept).reshape(-1, psi.dim, psi.dim)
+
+
+@st.composite
+def stacks_with_repeats(draw):
+    # few distinct entries, so rows repeat; zero rows and signed zeros too
+    n = draw(st.integers(1, 3))
+    pool = st.sampled_from([0.0, -0.0, 1e-300, 0.5, 1.0, 1.0 + 1e-12, 3.0])
+    rows = draw(st.lists(st.lists(pool, min_size=n * n, max_size=n * n),
+                         min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                          max_size=12))
+    return MatrixSet(np.array([rows[i] for i in picks]).reshape(-1, n, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks_with_repeats(), st.sampled_from([0.0, 1e-12, 0.6]))
+def test_dedupe_matches_unique(psi, tol):
+    got = dedupe(psi, tol)
+    ref = _dedupe_by_unique(psi, tol)
+    # compared by value: which signed zero a run keeps is not fixed
+    assert got.members.shape == ref.shape
+    assert np.array_equal(got.members, ref)
 
 
 def test_cap_enforced():
