@@ -15,6 +15,7 @@ files yield byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -61,6 +62,7 @@ def _parse_seeds(spec: str):
     return seeds
 
 
+@functools.cache  # built once per process; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hadamard-jsr")
     sub = p.add_subparsers(dest="command", required=True)

@@ -24,12 +24,19 @@ DEFAULT_TOL = 1e-9
 _SPECTRAL_TOL = 1e-12
 _MAX_SQUARINGS = 256
 _COARSE_SQUARINGS = 10
+# slices per batched word scan and per Gram chunk: about where a call's
+# word work matches its fixed cost
+_BATCH_WORDS = 4096
 _NOT_FINITE = "matrix entries must be finite (no NaN/inf)"
+_NOT_REAL = "matrix entries must be real"
 
 
 def check_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a square float array with finite
     nonnegative entries."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":  # the cast would drop the imaginary parts
+        raise ValueError(_NOT_REAL)
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionMismatch(
@@ -180,7 +187,13 @@ def _stack_norms(batch: np.ndarray, kind: str, logs, bounds) -> np.ndarray:
         sums = batch if kind == ROW_SUM else batch.transpose(0, 2, 1)
         return _last_axis(np.maximum, _last_axis(np.add, sums))
     if kind == SPECTRAL:
-        gram = np.matmul(batch.transpose(0, 2, 1), batch)
+        # a transposed copy multiplies faster than the strided view; one
+        # chunk at a time, so the copy stays small
+        gram = np.empty_like(batch)
+        for a in range(0, len(batch), _BATCH_WORDS):
+            part = batch[a:a + _BATCH_WORDS]
+            np.matmul(np.ascontiguousarray(part.transpose(0, 2, 1)), part,
+                      out=gram[a:a + _BATCH_WORDS])
         hi = _batch_bracket(gram, 2 * logs, bounds, tol=_SPECTRAL_TOL,
                             squarings=60)[1]
         return np.sqrt(hi) * (1.0 + _SPECTRAL_TOL)
@@ -227,9 +240,9 @@ def _collatz_wielandt(c: np.ndarray, tol: float) -> tuple[float, float, int]:
         # q @ ones is mathematically positive (positive diagonal) but may
         # underflow; the clamp keeps x a valid positive test vector.
         x = np.maximum(np.add.reduce(q, axis=1), 1e-300)
-        ratios = (p @ x) / x
-        best_lo = max(best_lo, float(np.minimum.reduce(ratios)))
-        best_hi = min(best_hi, float(np.maximum.reduce(ratios)))
+        ratios = ((p @ x) / x).tolist()  # one conversion; exact
+        best_lo = max(best_lo, min(ratios))
+        best_hi = min(best_hi, max(ratios))
         if best_hi - best_lo <= tol * max(1.0, best_hi - 1.0):
             return max(best_lo - 1.0, 0.0), best_hi - 1.0, s
         q = q @ q
@@ -267,14 +280,15 @@ def _dominated(lo: np.ndarray, hi: np.ndarray, logs: np.ndarray, n: int,
     with np.errstate(divide="ignore"):
         lo_log = np.log(np.maximum(lo - g, 0.0)) + logs
         hi_log = np.log(hi + g) + logs
-    gone = np.empty(len(lo), dtype=bool)
-    top = list(top)
-    edges = np.asarray(bounds).tolist()
-    for i, (a, b) in enumerate(zip(edges, edges[1:])):
-        if a < b:
-            top[i] = max(top[i], float(np.max(lo_log[a:b])))
-            np.less(hi_log[a:b], top[i] - 1e-9, out=gone[a:b])
-    return gone, top
+    edges = np.asarray(bounds)
+    sizes = np.diff(edges)
+    full = sizes > 0
+    top = np.array(top, dtype=float)
+    # fmax keeps the old top against a NaN, as Python's max does
+    top[full] = np.fmax(top[full],
+                        np.maximum.reduceat(lo_log, edges[:-1][full]))
+    gone = hi_log < np.repeat(top - 1e-9, sizes)
+    return gone, top.tolist()
 
 
 def _batch_bracket(batch: np.ndarray, logs: np.ndarray, bounds,

@@ -31,8 +31,8 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import CapExceeded, SoundnessError
-from .matrices import (DEFAULT_TOL, ROW_SUM, RadiusBracket, _batch_bracket,
-                       _stack_norms, spectral_radius_bracket)
+from .matrices import (_BATCH_WORDS, DEFAULT_TOL, ROW_SUM, RadiusBracket,
+                       _batch_bracket, _stack_norms, spectral_radius_bracket)
 from .sets import (MatrixSet, _kernel_exponents, _pairwise, dedupe,
                    set_power, symmetrize_ab)
 
@@ -41,9 +41,6 @@ DEFAULT_WORD_BUDGET = 20_000  # symmetrization levels, set chains and CLI
 _MAX_REFINE = 2000
 _REFINE_SLACK = 1e-10  # refinement stops within this of the best log radius
 _LEVEL_TOL = 1e-12  # bracket tolerance of each symmetrization level
-# words per batched scan: about where a call's word work matches its fixed
-# cost, so a batch of small sets costs about one small call
-_BATCH_WORDS = 4096
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, RegimeError
-from .matrices import _overflow_checked, check_matrix
+from .matrices import _NOT_REAL, _overflow_checked, check_matrix
 
 MEMBER_CAP = 200_000
 
@@ -66,7 +66,10 @@ class MatrixSet:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.members, dtype=float)
+        m = np.asarray(self.members)
+        if m.dtype.kind == "c":
+            raise ValueError(_NOT_REAL)
+        m = np.asarray(m, dtype=float)
         if m.ndim != 3 or m.shape[0] == 0 or m.shape[1] != m.shape[2]:
             raise DimensionMismatch(
                 f"expected a nonempty stack of square matrices, "
@@ -86,6 +89,19 @@ class MatrixSet:
 
     def __iter__(self):
         return iter(self.members)
+
+
+def _built(members: np.ndarray, name: str | None = None) -> MatrixSet:
+    """A read-only contiguous ``MatrixSet`` of a stack built from validated
+    members, without ``MatrixSet``'s scan: products, sums, positive powers,
+    transposes and row selections of nonnegative stacks are nonnegative,
+    and ``_overflow_checked`` has rejected any non-finite entry."""
+    m = np.ascontiguousarray(members)
+    m.flags.writeable = False
+    out = object.__new__(MatrixSet)
+    object.__setattr__(out, "members", m)
+    object.__setattr__(out, "name", name)
+    return out
 
 
 def matrix_set(matrices, name: str | None = None) -> MatrixSet:
@@ -126,8 +142,8 @@ def set_product(psi: MatrixSet, sigma: MatrixSet) -> MatrixSet:
     """All pairwise products ``{A @ B : A in psi, B in sigma}``."""
     _check_dims(psi, sigma)
     _check_cap(len(psi) * len(sigma))
-    return MatrixSet(_overflow_checked("set product", _pairwise, np.matmul,
-                                       psi.members, sigma.members))
+    return _built(_overflow_checked("set product", _pairwise, np.matmul,
+                                    psi.members, sigma.members))
 
 
 def _fold(op, sets) -> MatrixSet:
@@ -150,8 +166,8 @@ def set_hadamard_power(psi: MatrixSet, t: float) -> MatrixSet:
     """Entrywise power applied to every member."""
     if not t > 0:
         raise ValueError(f"Hadamard power requires t > 0, got {t}")
-    return MatrixSet(_overflow_checked("Hadamard power", operator.pow,
-                                       psi.members, t))
+    return _built(_overflow_checked("Hadamard power", operator.pow,
+                                    psi.members, t))
 
 
 def set_hadamard_mean(sets, w: WeightVector) -> MatrixSet:
@@ -176,21 +192,20 @@ def set_hadamard_mean(sets, w: WeightVector) -> MatrixSet:
         for s, wk in zip(sets[1:], w.weights[1:]):
             batch = _pairwise(np.multiply, batch, s.members ** wk)
         return batch
-    return MatrixSet(_overflow_checked("Hadamard mean", mean))
+    return _built(_overflow_checked("Hadamard mean", mean))
 
 
 def set_sum(psi: MatrixSet, sigma: MatrixSet) -> MatrixSet:
     """All pairwise sums ``{A + B : A in psi, B in sigma}``."""
     _check_dims(psi, sigma)
     _check_cap(len(psi) * len(sigma))
-    return MatrixSet(_overflow_checked("set sum", _pairwise, np.add,
-                                       psi.members, sigma.members))
+    return _built(_overflow_checked("set sum", _pairwise, np.add,
+                                    psi.members, sigma.members))
 
 
 def set_adjoint(psi: MatrixSet) -> MatrixSet:
     """Elementwise transpose."""
-    return MatrixSet(np.ascontiguousarray(psi.members.transpose(0, 2, 1)),
-                     name=psi.name)
+    return _built(psi.members.transpose(0, 2, 1), name=psi.name)
 
 
 def cyclic_factor(sets, j: int) -> MatrixSet:
@@ -248,7 +263,7 @@ def canonicalize(psi: MatrixSet) -> MatrixSet:
     """Members sorted lexicographically on their entries (row-major)."""
     flat = psi.members.reshape(len(psi), -1)
     order = np.lexsort(np.flipud(flat.T))
-    return MatrixSet(psi.members[order], name=psi.name)
+    return _built(psi.members[order], name=psi.name)
 
 
 def dedupe(psi: MatrixSet, tol: float = 0.0) -> MatrixSet:
@@ -261,10 +276,12 @@ def dedupe(psi: MatrixSet, tol: float = 0.0) -> MatrixSet:
     It is faster up to thousands of members and on stacks with many
     repeats, and slower on tens of thousands of distinct members, which
     the radius queries never dedupe (they scan sets above 4,096 members as
-    they are).
+    they are).  A one-member set is returned as it is.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    if len(psi) == 1:
+        return psi
     flat = psi.members.reshape(len(psi), -1)
     flat = flat[np.lexsort(np.flipud(flat.T))]
     first = np.ones(len(flat), dtype=bool)
@@ -277,7 +294,7 @@ def dedupe(psi: MatrixSet, tol: float = 0.0) -> MatrixSet:
                 kept.append(row)
         uniq = np.stack(kept)
     n = psi.dim
-    return MatrixSet(uniq.reshape(-1, n, n), name=psi.name)
+    return _built(uniq.reshape(-1, n, n), name=psi.name)
 
 
 def sets_equal(a: MatrixSet, b: MatrixSet) -> bool:

@@ -1,5 +1,6 @@
 """Instance files, seeded generation, and the command-line surface."""
 
+import argparse
 import json
 import warnings
 
@@ -314,3 +315,22 @@ def test_cli_verify_all_cold_runs_agree(tmp_path):
         outs.append(out.read_bytes())
     assert codes[0] == codes[1] == codes[2]
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_cli_builds_one_parser_and_keeps_no_state(tmp_path, capsys,
+                                                   monkeypatch):
+    parsers = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kw):
+        parsers.append(self)
+        return parse(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    out = tmp_path / "i.json"
+    assert run_command(["gen", "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_command(["gen", "--seed", "3"]) == 0
+    # the second call writes to stdout, not to the first call's file
+    assert capsys.readouterr().out == out.read_text()
+    assert len(parsers) == 2 and parsers[0] is parsers[1]

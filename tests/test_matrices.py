@@ -59,6 +59,9 @@ def test_check_matrix_rejects_nan_inf():
      "expected a nonempty square matrix, got shape (0, 0)"),
     (np.ones(3), DimensionMismatch,
      "expected a nonempty square matrix, got shape (3,)"),
+    # the float cast would drop the imaginary parts, or fail with TypeError
+    (np.array([[0, 1j], [1j, 0]]), ValueError, "matrix entries must be real"),
+    ([[0, 1j], [1j, 0]], ValueError, "matrix entries must be real"),
 ])
 def test_check_matrix_errors_keep_their_types_and_messages(a, kind, message):
     with pytest.raises(ValueError) as exc:
@@ -494,3 +497,67 @@ def test_one_call_brackets_each_length_as_its_own_call(stack):
     want = np.concatenate([matrices._stack_norms(
         batch[a:b], SPECTRAL, logs[a:b], [0, b - a]) for a, b in spans])
     assert got.tobytes() == want.tobytes()
+
+
+def _dominated_per_slice(lo, hi, logs, n, top, bounds):
+    # the reference: one length at a time
+    g = 1e-13 * n
+    with np.errstate(divide="ignore"):
+        lo_log = np.log(np.maximum(lo - g, 0.0)) + logs
+        hi_log = np.log(hi + g) + logs
+    gone = np.zeros(len(lo), dtype=bool)
+    top = list(top)
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if a < b:
+            top[i] = max(top[i], float(np.max(lo_log[a:b])))
+            gone[a:b] = hi_log[a:b] < top[i] - 1e-9
+    return gone, top
+
+
+@st.composite
+def dominated_inputs(draw):
+    # empty lengths, single-length stacks, zero words (log -inf), -inf
+    # log scales and lengths with a top from an earlier stage
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    k = sum(sizes)
+    ends = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+    lo = np.array(draw(st.lists(ends, min_size=k, max_size=k)))
+    hi = lo * np.array(draw(st.lists(st.floats(1.0, 1.5), min_size=k,
+                                     max_size=k)))
+    logs = np.array(draw(st.lists(
+        st.one_of(st.just(-np.inf), st.floats(-30.0, 30.0)),
+        min_size=k, max_size=k)))
+    top = draw(st.lists(st.one_of(st.just(-np.inf), st.floats(-30.0, 30.0)),
+                        min_size=len(sizes), max_size=len(sizes)))
+    return (lo, hi, logs, draw(st.integers(1, 5)), top,
+            np.cumsum([0] + sizes).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(dominated_inputs())
+def test_dominated_matches_the_per_slice_loop(args):
+    gone, top = matrices._dominated(*args)
+    want_gone, want_top = _dominated_per_slice(*args)
+    assert gone.tolist() == want_gone.tolist()
+    assert isinstance(top, list)
+    assert np.array(top).tobytes() == np.array(want_top).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 4096, 4097, 10_000])
+def test_gram_chunks_match_the_whole_product(k, monkeypatch):
+    # the Gram matrices _stack_norms brackets, bit for bit the unchunked
+    # product of the strided transposed view
+    rng = np.random.default_rng(k)
+    batch = rng.random((k, 3, 3)) * (rng.random((k, 3, 3)) < 0.7)
+    seen = []
+    bracket = matrices._batch_bracket
+
+    def spy(gram, *rest, **kw):
+        seen.append(gram.copy())
+        return bracket(gram, *rest, **kw)
+
+    monkeypatch.setattr(matrices, "_batch_bracket", spy)
+    matrices._stack_norms(batch, SPECTRAL, np.zeros(k), [0, k])
+    [gram] = seen
+    want = np.matmul(batch.transpose(0, 2, 1), batch)
+    assert gram.tobytes() == want.tobytes()

@@ -43,6 +43,51 @@ def test_matrix_set_validation():
         matrix_set([np.ones((2, 2)), np.ones((3, 3))])
 
 
+@pytest.mark.parametrize("members", [
+    np.array([[[2 + 5j]], [[3.0]]]),
+    [[[2 + 5j]], [[3.0]]],
+])
+def test_matrix_set_rejects_complex_members(members):
+    # the float cast would keep only the real parts, or raise TypeError
+    with pytest.raises(ValueError, match="^matrix entries must be real$"):
+        MatrixSet(members)
+    with pytest.raises(ValueError, match="^matrix entries must be real$"):
+        matrix_set(members)
+
+
+def test_built_sets_are_not_rescanned(monkeypatch):
+    a, b = two_sets()
+    scans = []
+    scan = MatrixSet.__post_init__
+
+    def spy(self):
+        scans.append(len(self.members))
+        scan(self)
+
+    monkeypatch.setattr(MatrixSet, "__post_init__", spy)
+    built = [set_product(a, b), set_sum(a, b), set_hadamard_power(a, 0.5),
+             set_hadamard_mean([a, b], uniform_weights(2)), set_adjoint(a),
+             canonicalize(a), dedupe(matrix_set([np.eye(2)] * 3)),
+             dedupe(a, tol=0.5)]
+    assert scans == [3]  # matrix_set's own check only
+    for s in built:
+        assert s.members.flags.c_contiguous
+        assert not s.members.flags.writeable
+    # input from outside is still checked
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError):
+            MatrixSet(np.array([[[1.0, bad], [0.0, 1.0]]]))
+        with pytest.raises(ValueError):
+            matrix_set([np.array([[1.0, bad], [0.0, 1.0]])])
+
+
+def test_dedupe_returns_a_one_member_set_as_it_is():
+    psi = MatrixSet(np.array([[[-0.0, 1.0], [2.0, 3.0]]]), name="psi")
+    assert dedupe(psi) is psi
+    assert psi.name == "psi"
+    assert np.signbit(psi.members[0, 0, 0])
+
+
 def test_set_product_members():
     a, b = two_sets()
     p = set_product(a, b)

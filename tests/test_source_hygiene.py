@@ -5,6 +5,7 @@ re-exported through ``__all__``), every module-level name is read
 somewhere in ``src/``, ``tests/`` or ``bench/``, or listed in ``__all__``,
 and every parameter of a function or lambda is read in its body.  Names
 are matched by identifier, as a linter without type information would.
+In ``sets.py`` only the input path constructs ``MatrixSet`` directly.
 """
 
 import ast
@@ -107,3 +108,16 @@ def test_every_parameter_is_read(path):
             unread += [f"{name}({p})" for p in _parameters(node)
                        if p not in names]
     assert not unread, f"{path.name}: unread parameters {unread}"
+
+
+def test_only_input_checks_members_in_sets():
+    # built stacks go through sets._built, which skips the scan that
+    # MatrixSet runs on input from outside
+    callers = set()
+    for node in _parse(SRC / "sets.py").body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            callers |= {node.name for n in ast.walk(node)
+                        if isinstance(n, ast.Call)
+                        and isinstance(n.func, ast.Name)
+                        and n.func.id == "MatrixSet"}
+    assert callers <= {"matrix_set", "MatrixSet"}, sorted(callers)
