@@ -117,6 +117,10 @@ class _Evaluator:
         self.norm = norm
         self.budget = budget
         self._recorded: list[MatrixSet] = []
+        # id -> (set, key) of the sets the chain records: each is hashed
+        # once per chain, and held, so its id is not reused while the entry
+        # lives
+        self._keys: dict[int, tuple[MatrixSet, tuple]] = {}
 
     def __enter__(self) -> "_Evaluator":
         return self
@@ -129,10 +133,15 @@ class _Evaluator:
                 raise err from None
 
     def _key(self, ms: MatrixSet) -> tuple:
-        import hashlib  # here, so callers without set chains skip its 4 ms
-        # the shape too: (4, 1, 1) and (1, 2, 2) stacks can share bytes
-        return (ms.members.shape, hashlib.blake2b(ms.members).digest(),
-                self.depth, self.norm, self.budget)
+        hit = self._keys.get(id(ms))
+        if hit is None:
+            import hashlib  # here, so callers without set chains skip its 4 ms
+            # the shape too: (4, 1, 1) and (1, 2, 2) stacks can share bytes
+            hit = (ms, (ms.members.shape, hashlib.blake2b(ms.members).digest(),
+                        self.depth, self.norm, self.budget))
+            if len(ms) <= _BATCH_WORDS:  # a larger set is not held
+                self._keys[id(ms)] = hit
+        return hit[1]
 
     def _fresh(self, sets):
         """Brackets of ``sets`` at this search, one at a time as asked."""

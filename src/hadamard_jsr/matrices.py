@@ -27,6 +27,8 @@ _COARSE_SQUARINGS = 10
 # slices per batched word scan and per Gram chunk: about where a call's
 # word work matches its fixed cost
 _BATCH_WORDS = 4096
+# words a length of more than _BATCH_WORDS survivors brackets first
+_SEED_WORDS = 32
 _NOT_FINITE = "matrix entries must be finite (no NaN/inf)"
 _NOT_REAL = "matrix entries must be real"
 
@@ -209,6 +211,8 @@ def _strongly_connected_components(adj: np.ndarray) -> list[np.ndarray]:
     steps = max(1, int(np.ceil(np.log2(n)))) if n > 1 else 1
     for _ in range(steps):
         reach = reach | (reach @ reach)
+    if np.logical_and.reduce(reach, axis=None):  # strongly connected
+        return [np.arange(n)]
     mutual = reach & reach.T
     seen = np.zeros(n, dtype=bool)
     comps = []
@@ -277,7 +281,9 @@ def _dominated(lo: np.ndarray, hi: np.ndarray, logs: np.ndarray, n: int,
     bound can cross the true one.
     """
     g = 1e-13 * n
-    with np.errstate(divide="ignore"):
+    # an upper end of inf on a zero word (log scale -inf) reads NaN, which
+    # drops nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
         lo_log = np.log(np.maximum(lo - g, 0.0)) + logs
         hi_log = np.log(hi + g) + logs
     edges = np.asarray(bounds)
@@ -291,11 +297,28 @@ def _dominated(lo: np.ndarray, hi: np.ndarray, logs: np.ndarray, n: int,
     return gone, top.tolist()
 
 
+def _seeds(row_lo: np.ndarray, logs: np.ndarray, keep: np.ndarray,
+           bounds) -> np.ndarray:
+    """Ascending indices of the ``_SEED_WORDS`` kept words with the largest
+    row-sum lower bound ``log(min row sum) + logs`` in each length that
+    keeps more than ``_BATCH_WORDS`` words."""
+    if len(keep) <= _BATCH_WORDS:  # no length keeps more
+        return np.empty(0, int)
+    picks = []
+    counts = np.diff(np.searchsorted(np.flatnonzero(keep), bounds))
+    for i in np.flatnonzero(counts > _BATCH_WORDS):
+        idx = np.flatnonzero(keep[bounds[i]:bounds[i + 1]]) + bounds[i]
+        with np.errstate(divide="ignore"):
+            bound = np.log(row_lo[idx]) + logs[idx]
+        picks.append(idx[np.argpartition(bound, -_SEED_WORDS)[-_SEED_WORDS:]])
+    return np.sort(np.concatenate(picks)) if picks else np.empty(0, int)
+
+
 def _batch_bracket(batch: np.ndarray, logs: np.ndarray, bounds,
                    tol: float = 1e-6,
                    squarings: int = _COARSE_SQUARINGS) -> np.ndarray:
     """Vectorized Collatz-Wielandt brackets for ``rho`` of every slice, as
-    a ``(2, k)`` array of lower and upper ends.
+    a ``(3, k)`` array of lower ends, upper ends and row-sum norms.
 
     The iteration of :func:`_collatz_wielandt`, run on a whole stack: one
     matrix goes through that loop, which is faster for it, and a stack
@@ -310,65 +333,105 @@ def _batch_bracket(batch: np.ndarray, logs: np.ndarray, bounds,
     every length.  The slices :func:`_dominated` finds, within their own
     length, get ``[0, 0]``: first on the bounds
     ``min_i r_i <= rho <= max_i r_i`` (which the first step reaches), so
-    only the survivors are squared, then after each squaring.  ``bounds``
-    follows both gathers.  Every other slice gets the bracket a full pass
-    gives it, whatever the other lengths hold.
+    only the survivors are squared, then after each squaring.
+
+    The pruning is best-first.  In a length that keeps more than
+    ``_BATCH_WORDS`` words, the :func:`_seeds`, those with the best row-sum
+    lower bounds, go through the squaring loop first; the other survivors
+    are then pruned again on their row sums against the lower ends the
+    seeds reached, and only the rest are squared.  This is exact:
+    :func:`_dominated` needs only a length's ``top`` to stay at most its
+    final best lower end, and the arithmetic is per slice, so a seed's
+    lower end is one the full pass gives that word.  Every slice not
+    dropped gets the bracket a full pass gives it, whatever the other
+    slices and lengths hold.
     """
     k, n, _ = batch.shape
     rows = _last_axis(np.add, batch)
-    gone, top = _dominated(_last_axis(np.minimum, rows),
-                           _last_axis(np.maximum, rows), logs, n,
-                           [-np.inf] * (len(bounds) - 1), bounds)
+    row_lo, row_hi = _last_axis(np.minimum, rows), _last_axis(np.maximum, rows)
     del rows
+    gone, top = _dominated(row_lo, row_hi, logs, n,
+                           [-np.inf] * (len(bounds) - 1), bounds)
     keep = ~gone
-    # where each length starts among the kept slices, and below among the
-    # active ones
-    bounds = np.searchsorted(np.flatnonzero(keep), bounds)
-    logs = logs[keep]
-    # gathered straight into the shifted stack, so no second copy exists
-    p = batch[keep]
+    seeds = _seeds(row_lo, logs, keep, bounds) if n > 1 else np.empty(0, int)
+    if len(seeds):
+        seed_lo, seed_hi, top = _squarings(
+            batch[seeds], logs[seeds], np.searchsorted(seeds, bounds), top,
+            tol, squarings)
+        keep[seeds] = False
+        rest = np.flatnonzero(keep)
+        gone, top = _dominated(row_lo[rest], row_hi[rest], logs[rest], n,
+                               top, np.searchsorted(rest, bounds))
+        keep[rest[gone]] = False
+    del row_lo
     if n == 1:  # exact, where the shift below would round
-        lo = hi = p[:, 0, 0]
+        lo = hi = batch[keep, 0, 0]
     else:
-        m = len(p)
-        best_lo = np.zeros(m)
-        best_hi = np.full(m, np.inf)
-        p += np.eye(n)
-        q = p / _last_axis(np.maximum, p.reshape(m, -1))[:, None, None]
-        active = np.arange(m)
-        edges = bounds
-        dropped = np.zeros(m, dtype=bool)
-        for _ in range(squarings):
-            # q's diagonal is mathematically positive but can underflow
-            # under repeated squaring; the clamp keeps x a positive vector
-            x = np.maximum(_last_axis(np.add, q), 1e-300)
-            ratios = np.einsum("kij,kj->ki", p, x) / x
-            lo_a = np.maximum(best_lo[active], _last_axis(np.minimum, ratios))
-            hi_a = np.minimum(best_hi[active], _last_axis(np.maximum, ratios))
-            best_lo[active], best_hi[active] = lo_a, hi_a
-            # drop converged and dominated slices from the squaring loop
-            open_mask = hi_a - lo_a > tol * np.maximum(1.0, hi_a - 1.0)
-            gone, top = _dominated(lo_a - 1.0, hi_a - 1.0, logs[active], n,
-                                   top, edges)
-            dropped[active[gone]] = True
-            open_mask &= ~gone
-            if not open_mask.any():
-                break
-            if not open_mask.all():
-                active = active[open_mask]
-                edges = np.searchsorted(active, bounds)
-                p = p[open_mask]
-                q = q[open_mask]
-            q = np.matmul(q, q)
-            q /= _last_axis(np.maximum, q.reshape(len(q), -1))[:, None, None]
-        lo = np.maximum(best_lo - 1.0, 0.0)
-        hi = np.maximum(best_hi - 1.0, lo)
-        lo[dropped] = hi[dropped] = 0.0
-        del p, q
-    # after p and q are freed, row by row: other orders raised peak RSS
-    out = np.zeros((2, k))
+        # gathered straight into the stack the loop shifts, so no second
+        # copy exists
+        lo, hi, _ = _squarings(batch[keep], logs[keep],
+                               np.searchsorted(np.flatnonzero(keep), bounds),
+                               top, tol, squarings)
+    # after the loop's stacks are freed, row by row: other orders raised
+    # peak RSS
+    out = np.zeros((3, k))
     out[0, keep], out[1, keep] = lo, hi
+    if len(seeds):
+        out[0, seeds], out[1, seeds] = seed_lo, seed_hi
+    out[2] = row_hi
     return out
+
+
+def _squarings(p: np.ndarray, logs: np.ndarray, bounds, top: list[float],
+               tol: float, squarings: int):
+    """The squaring loop of :func:`_batch_bracket` on the gathered slices
+    ``p``, which it shifts in place: their lower and upper ends (``0`` where
+    dropped) and the new ``top``.
+
+    A slice leaves the loop once its bracket converges or :func:`_dominated`
+    drops it.  The stacks are gathered again only once a quarter of their
+    rows have left; until then a row that has left is still squared, but its
+    bounds stay as they were and it is not dropped again (its lower end is
+    in ``top`` already), so the result is that of a gather at every step.
+    """
+    m, n, _ = p.shape
+    # the slice of each row of p and q, its bounds (those of every slice
+    # until the first gather), and whether it is in the loop
+    idx, lo, hi = np.arange(m), np.zeros(m), np.full(m, np.inf)
+    best_lo, best_hi = lo, hi
+    dropped = np.zeros(m, dtype=bool)
+    p += np.eye(n)
+    q = p / _last_axis(np.maximum, p.reshape(m, n * n))[:, None, None]
+    live = np.ones(m, dtype=bool)
+    edges = bounds
+    for _ in range(squarings):
+        # q's diagonal is mathematically positive but can underflow
+        # under repeated squaring; the clamp keeps x a positive vector
+        x = np.maximum(_last_axis(np.add, q), 1e-300)
+        ratios = np.einsum("kij,kj->ki", p, x) / x
+        np.maximum(lo, _last_axis(np.minimum, ratios), out=lo, where=live)
+        np.minimum(hi, _last_axis(np.maximum, ratios), out=hi, where=live)
+        gone, top = _dominated(lo - 1.0, np.where(live, hi - 1.0, np.inf),
+                               logs, n, top, edges)
+        dropped[idx[gone]] = True
+        live &= ~gone & (hi - lo > tol * np.maximum(1.0, hi - 1.0))
+        left = np.count_nonzero(live)
+        if not left:
+            break
+        if 4 * left <= 3 * len(live):
+            best_lo[idx], best_hi[idx] = lo, hi
+            idx, p, q = idx[live], p[live], q[live]
+            lo, hi, logs = lo[live], hi[live], logs[live]
+            live = np.ones(left, dtype=bool)
+            edges = np.searchsorted(idx, bounds)
+        q = np.matmul(q, q)
+        q /= _last_axis(np.maximum, q.reshape(len(q), n * n))[:, None, None]
+    best_lo[idx], best_hi[idx] = lo, hi
+    del p, q
+    lo = np.maximum(best_lo - 1.0, 0.0)
+    hi = np.maximum(best_hi - 1.0, lo)
+    lo[dropped] = hi[dropped] = 0.0
+    return lo, hi, top
 
 
 def _block_bracket(sub: np.ndarray, tol: float) -> tuple[float, float, int]:

@@ -18,8 +18,12 @@ Within each slice the coarse pass brackets only the words that can matter,
 by the exact rule of ``matrices._dominated``.  The rule is per slice,
 because the Gelfand sequence refines each length alone; the call enforces
 it through ``bounds``, so each set and length keeps its own best lower
-bound, and each set gets the bracket a call of its own gives it.  Word
-norms and longer products still use every word.
+bound, and each set gets the bracket a call of its own gives it.  The
+pruning is best-first: a slice of more than ``_BATCH_WORDS`` survivors of
+the row-sum stage first brackets its few best words, whose lower ends
+then prune the rest before they are squared.  Word norms and longer
+products still use every word; the row-sum norms come from the coarse
+pass's own row-sum stage.
 """
 
 from __future__ import annotations
@@ -186,8 +190,9 @@ def _scans(sets, depth: int, kind: str, cap: int, word_budget: int | None):
 def _scan_batch(batch, kind: str):
     """The levels of each ``(set, depth)`` of ``batch``, from one stack of
     all their words: set by set, the words of length ``m`` in one slice
-    marked by ``bounds``, so one ``_stack_norms`` and one
-    ``_batch_bracket`` call serve every set and length."""
+    marked by ``bounds``, so one ``_batch_bracket`` call, and for norms
+    other than the row sums one ``_stack_norms`` call, serve every set and
+    length."""
     if not batch:
         return
     sizes = [len(s) ** m for s, d in batch for m in range(1, d + 1)]
@@ -209,14 +214,17 @@ def _scan_batch(batch, kind: str):
             logs[cur] = (logs[prev][:, None]
                          + base_logs[None, :]).reshape(-1) + extra
         first += d
-    # the norms first: the bracket's temporaries then reuse the memory the
+    # the row-sum norms are the bracket's own row-sum stage, bit for bit;
+    # other norms first: the bracket's temporaries then reuse the memory the
     # norms' temporaries freed, so the heap grows less per scan and the
     # 65,536-word symmetrization levels take fewer page faults
+    norms = None if kind == ROW_SUM else _stack_norms(words, kind, logs,
+                                                      bounds)
+    lo, hi, row_norms = _batch_bracket(words, logs, bounds)
     norm_logs = np.maximum.reduceat(
-        _log0(_stack_norms(words, kind, logs, bounds)) + logs, bounds[:-1])
-    lo, hi = _batch_bracket(words, logs, bounds)
+        _log0(row_norms if norms is None else norms) + logs, bounds[:-1])
     lo_log, hi_log = _log0(lo) + logs, _log0(hi) + logs
-    del words, lo, hi  # not held while the sets are refined
+    del words, lo, hi, row_norms, norms  # not held while sets are refined
     slices = list(zip(bounds, bounds[1:], norm_logs))
     first = 0
     for _, d in batch:

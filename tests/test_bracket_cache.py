@@ -2,6 +2,8 @@
 bracket a fresh call returns, each key is bracketed once, a failed call
 stores nothing, and the cache keeps to its bound."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,41 @@ def test_set_chains_bracket_each_key_once(monkeypatch):
     assert len(set(keys)) == len(keys)
     assert len(asked) > len(keys)  # the chains did share sets
     assert len(chains._brackets) == len(keys) <= chains._CACHE_SIZE
+
+
+def test_each_set_is_hashed_once_per_chain(monkeypatch):
+    hashed, asked = [], []
+    blake2b, key = hashlib.blake2b, chains._Evaluator._key
+    monkeypatch.setattr(hashlib, "blake2b",
+                        lambda data: hashed.append(data) or blake2b(data))
+    monkeypatch.setattr(chains._Evaluator, "_key",
+                        lambda self, ms: asked.append(ms) or key(self, ms))
+    sets = generate_instance(GeneratorParams(3, 2, 2, 0.9, 1.0, 11))
+    for tid in SET_CHAIN_IDS:
+        first_hash, first_ask = len(hashed), len(asked)
+        run_theorem(tid, sets, depth=4, n=1, budget=4000)
+        # ``asked`` holds every set, so no two of them share an id; a set
+        # of more than _BATCH_WORDS members, which the chain does not hold,
+        # is hashed each time
+        recorded = [ms for ms in asked[first_ask:]
+                    if len(ms) <= chains._BATCH_WORDS]
+        hashes = len({id(ms) for ms in recorded}) + len(asked) - first_ask \
+            - len(recorded)
+        assert len(hashed) - first_hash == hashes
+    assert len(asked) > len(hashed)  # a chain asks for a set's key again
+
+
+def test_a_set_changed_between_chains_is_bracketed_again(monkeypatch):
+    keys = _spy(monkeypatch)
+    ms = matrix_set([[[1.0, 2.0], [0.5, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
+    first = chains._Evaluator(3, ROW_SUM, 2000).set_bracket(ms)
+    ms.members.flags.writeable = True
+    ms.members[0, 0, 1] = 4.0
+    ms.members.flags.writeable = False
+    second = chains._Evaluator(3, ROW_SUM, 2000).set_bracket(ms)
+    assert len(keys) == 2
+    assert second == radius_bracket_set(ms, 3, ROW_SUM, word_budget=2000)
+    assert second != first
 
 
 def test_a_raising_bracket_is_not_cached(monkeypatch):

@@ -456,6 +456,27 @@ def test_dominated_keeps_each_length_to_its_own_top():
     assert kept == top
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_one_component_returns_before_the_per_index_loop(n, monkeypatch):
+    # a cycle through every index: the closure is all true, so the one
+    # component is returned without reading a row of it
+    reads = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero",
+                        lambda a: reads.append(a) or flatnonzero(a))
+    cycle = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    [comp] = matrices._strongly_connected_components(cycle)
+    assert comp.dtype == np.intp and comp.tolist() == list(range(n))
+    assert reads == []
+    # two such cycles side by side: the loop reads one row per component
+    zero = np.zeros((n, n), dtype=bool)
+    two = np.block([[cycle, zero], [zero, cycle]])
+    comps = matrices._strongly_connected_components(two)
+    assert [c.tolist() for c in comps] == [list(range(n)),
+                                           list(range(n, 2 * n))]
+    assert len(reads) == 2
+
+
 @st.composite
 def length_stacks(draw):
     # row-normalized words of several lengths with their log scales, as the

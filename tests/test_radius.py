@@ -12,8 +12,9 @@ from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, CapExceeded,
                           GeneratorParams, RadiusBracket, dedupe,
                           gelfand_sequence, gen_radius_lower,
                           generate_instance, joint_radius_upper, matrix_set,
-                          radius_bracket_set, spectral_radius_bracket,
-                          symmetrization_sequence, symmetrization_sequence_ab)
+                          radius_bracket_set, set_power,
+                          spectral_radius_bracket, symmetrization_sequence,
+                          symmetrization_sequence_ab, symmetrize_ab)
 from hadamard_jsr import chains, matrices, radius
 from hadamard_jsr.matrices import _batch_bracket
 from hadamard_jsr.oracle import oracle_gen_radius, oracle_spectral_radius
@@ -230,7 +231,8 @@ def _assert_skip_exact(s, kind):
         out = _batch_bracket(batch, logs, bounds)
         # one call brackets every length; each length is checked alone
         for a, b in zip(bounds[:-1], bounds[1:]):
-            levels.append((batch[a:b].copy(), logs[a:b].copy(), out[:, a:b]))
+            levels.append((batch[a:b].copy(), logs[a:b].copy(),
+                           out[:2, a:b]))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -239,7 +241,8 @@ def _assert_skip_exact(s, kind):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrices, "_dominated", _dominates_nothing)
         for batch, logs, (lo, hi) in levels:
-            full_lo, full_hi = _batch_bracket(batch, logs, [0, len(batch)])
+            full_lo, full_hi, _ = _batch_bracket(batch, logs,
+                                                 [0, len(batch)])
             # words bracketed to the end match a full pass bit for bit; the
             # skipped and dropped ones get [0, 0]
             exact = (lo == full_lo) & (hi == full_hi)
@@ -319,6 +322,71 @@ def test_coarse_pass_drops_dominated_words(monkeypatch):
                   for gone in stages[1:])
     assert passed == 236
     assert dropped > passed / 2
+
+
+def _criterion5_psi():
+    # a pair of 3 x 3 matrices as the symmetrize workload draws them
+    return generate_instance(GeneratorParams(3, 1, 2, 0.8, 1.0, seed=1))[0]
+
+
+def _no_seeds(row_lo, logs, keep, bounds):
+    # the seed pass switched off: every survivor goes straight to the loop
+    return np.empty(0, dtype=int)
+
+
+def _huge_level(case):
+    """``(psi, level, kind)``: a 65,536-word level that keeps more than
+    ``_BATCH_WORDS`` words at the row-sum stage, and the set whose
+    symmetrization sequence holds such levels."""
+    if case == "upper":
+        # every word and every symmetrized member is reducible
+        rng = np.random.default_rng(7)
+        psi = matrix_set(np.triu(rng.random((2, 3, 3)) + 0.05))
+        return psi, set_power(psi, 16), ROW_SUM
+    psi = _criterion5_psi()
+    level = symmetrize_ab(set_power(psi, 8), 0.7, 0.5)
+    return psi, level, SPECTRAL if case == "gram" else ROW_SUM
+
+
+@pytest.mark.parametrize("case", ["symmetrized", "upper", "gram"])
+def test_seed_pass_is_exact(case, monkeypatch):
+    psi, level, kind = _huge_level(case)
+    assert len(level) == 2 ** 16
+    seeds = matrices._seeds
+    picked = []
+
+    def spy(*args):
+        picked.append(seeds(*args))
+        return picked[-1]
+
+    def queries():
+        b = radius_bracket_set(level, 1, kind)
+        return ((b.lo, b.hi), gelfand_sequence(level, 1, kind).entries,
+                symmetrization_sequence_ab(psi, 0.7, 0.5, 3, 6, kind).levels)
+
+    monkeypatch.setattr(matrices, "_seeds", spy)
+    seeded = queries()
+    # the first stack the bracket sees, the Gram stack under SPECTRAL
+    assert len(picked[0]) == matrices._SEED_WORDS
+    monkeypatch.setattr(matrices, "_seeds", _no_seeds)
+    assert queries() == seeded
+
+
+def test_seed_pass_spares_most_squarings(monkeypatch):
+    # one criterion-5 level of 65,536 words: the rows the squaring loop
+    # multiplies, with the seed pass and without
+    level = symmetrize_ab(set_power(_criterion5_psi(), 8), 0.5, 0.5)
+    einsum = np.einsum
+    counts = []
+    for seeds in (matrices._seeds, _no_seeds):
+        rows = []
+        monkeypatch.setattr(matrices, "_seeds", seeds)
+        monkeypatch.setattr(np, "einsum", lambda spec, p, x: rows.append(
+            len(p)) or einsum(spec, p, x))
+        radius_bracket_set(level, 1)
+        counts.append(sum(rows))
+    assert counts == [24336, 77677]
+    assert counts[0] <= 0.7 * counts[1]
 
 
 def test_symmetrization_dedupes_each_level_set_once(monkeypatch):
