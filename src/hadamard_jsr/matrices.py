@@ -206,10 +206,10 @@ def _strongly_connected_components(adj: np.ndarray) -> list[np.ndarray]:
     """Partition indices into strongly connected components of the boolean
     adjacency matrix, via boolean transitive closure."""
     n = adj.shape[0]
-    reach = adj | np.eye(n, dtype=bool)
+    reach = adj.copy()
+    reach.flat[::n + 1] = True
     # repeated squaring reaches the closure in ceil(log2 n) steps
-    steps = max(1, int(np.ceil(np.log2(n)))) if n > 1 else 1
-    for _ in range(steps):
+    for _ in range(max(1, (n - 1).bit_length())):
         reach = reach | (reach @ reach)
     if np.logical_and.reduce(reach, axis=None):  # strongly connected
         return [np.arange(n)]
@@ -278,7 +278,10 @@ def _dominated(lo: np.ndarray, hi: np.ndarray, logs: np.ndarray, n: int,
     lower bound, and it is neither that bound's word, nor a refinement
     candidate of any query, nor the length's largest norm.  Both ends are
     widened by ``1e-13 n``, the few ulps of rounding by which a computed
-    bound can cross the true one.
+    bound can cross the true one.  That margin also holds the raw row sums
+    of a word over its row-sum norm ``s``, on which ``radius`` first prunes
+    a set's last length: ``fl(sum(raw)) / s`` differs from the normalized
+    word's ``sum(fl(raw / s))`` by about ``n + 1`` ulps.
     """
     g = 1e-13 * n
     # an upper end of inf on a zero word (log scale -inf) reads NaN, which

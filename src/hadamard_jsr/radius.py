@@ -21,9 +21,12 @@ it through ``bounds``, so each set and length keeps its own best lower
 bound, and each set gets the bracket a call of its own gives it.  The
 pruning is best-first: a slice of more than ``_BATCH_WORDS`` survivors of
 the row-sum stage first brackets its few best words, whose lower ends
-then prune the rest before they are squared.  Word norms and longer
-products still use every word; the row-sum norms come from the coarse
-pass's own row-sum stage.
+then prune the rest before they are squared.  Under the row-sum norm the
+last length of each set, its largest, is lazy: the rule runs first on its
+raw row sums, and only the words it keeps are normalized and bracketed.
+Shorter lengths are the prefixes of longer words, and the other norms read
+every word, so those are normalized in full; the row-sum norms come from
+the coarse pass's own row-sum stage.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import numpy as np
 
 from .errors import CapExceeded, SoundnessError
 from .matrices import (_BATCH_WORDS, DEFAULT_TOL, ROW_SUM, RadiusBracket,
-                       _batch_bracket, _stack_norms, spectral_radius_bracket)
+                       _batch_bracket, _dominated, _last_axis, _stack_norms,
+                       spectral_radius_bracket)
 from .sets import (MatrixSet, _kernel_exponents, _pairwise, dedupe,
                    set_power, symmetrize_ab)
 
@@ -70,17 +74,63 @@ class SymmetrizationSequence:
     levels: tuple[tuple[int, RadiusBracket], ...]
 
 
+def _scales(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divisors and log scales of the row-sum norms ``s`` of a stack: a
+    zero slice keeps divisor 1 and log scale -inf."""
+    safe = np.where(s > 0, s, 1.0)
+    return safe, np.where(s > 0, np.log(safe), -np.inf)
+
+
 def _normalize_batch(batch: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write each slice divided by its row-sum norm to ``out``; return the
     log scales.
 
     Zero slices are left as zeros with log scale -inf.
     """
-    s = _stack_norms(batch, ROW_SUM, None, None)  # row sums read no scales
-    safe = np.where(s > 0, s, 1.0)
+    # row sums read no scales
+    safe, logs = _scales(_stack_norms(batch, ROW_SUM, None, None))
     np.divide(batch, safe[:, None, None], out=out)
-    with np.errstate(divide="ignore"):
-        return np.where(s > 0, np.log(safe), -np.inf)
+    return logs
+
+
+def _lazy_length(raw: np.ndarray, prefix, out: np.ndarray,
+                 out_logs: np.ndarray) -> np.ndarray:
+    """Normalize into ``out``, in order, and their log scales into
+    ``out_logs``, only the words of the length ``raw`` that its bracket and
+    row-sum norm can read; return the mask of those words.
+
+    ``prefix`` holds the words' log scales before their own row-sum norm
+    ``s`` (``None`` for a set's members); it is added to in place.  ``s``
+    and the log scales are those of :func:`_normalize_batch`, and a kept
+    word is divided by the same ``s``, so it reads the bits a full pass
+    gives it.  A word is dropped when :func:`matrices._dominated` finds its
+    raw ``[min, max]`` row sum over ``s`` dominated; that is within about
+    ``n + 1`` ulps of the normalized word's, well inside the rule's guard.
+    A normalized word's max row sum is within ``n + 1`` ulps of 1, so the
+    length's largest row-sum norm belongs to a word whose log scale lies
+    within a rounding guard of the largest, relative to its size; those
+    words are kept whatever the rule's margins.
+    """
+    n = raw.shape[-1]
+    rows = _last_axis(np.add, raw)
+    lo, hi = _last_axis(np.minimum, rows), _last_axis(np.maximum, rows)
+    del rows  # each freed stack-sized array is memory the next one reuses
+    safe, logs = _scales(hi)
+    if prefix is not None:
+        prefix += logs
+        logs = prefix
+    lo /= safe
+    hi /= safe
+    gone = _dominated(lo, hi, logs, n, [-np.inf], [0, len(hi)])[0]
+    top = logs.max()
+    keep = ~gone
+    keep |= logs >= top - 1e-12 * (n + abs(top))
+    # gathered straight into the stack and divided there: no second copy
+    idx = np.flatnonzero(keep)
+    w = np.take(raw, idx, axis=0, out=out[:len(idx)], mode="clip")
+    w /= safe[idx, None, None]
+    out_logs[:len(idx)] = logs[idx]
+    return keep
 
 
 def _word_count(k: int, depth: int) -> int:
@@ -192,32 +242,44 @@ def _scan_batch(batch, kind: str):
     all their words: set by set, the words of length ``m`` in one slice
     marked by ``bounds``, so one ``_batch_bracket`` call, and for norms
     other than the row sums one ``_stack_norms`` call, serve every set and
-    length."""
+    length.
+
+    Under the row-sum norm each set's last length holds only the words
+    :func:`_lazy_length` keeps; its level reads ``-inf`` for the others,
+    as for a word the bracket drops.  Shorter lengths are the prefixes of
+    longer words, and other norms read every word, so these are kept in
+    full.
+    """
     if not batch:
         return
-    sizes = [len(s) ** m for s, d in batch for m in range(1, d + 1)]
-    bounds = np.cumsum([0] + sizes)
     n = batch[0][0].dim
-    words = np.empty((bounds[-1], n, n))
-    logs = np.empty(bounds[-1])
-    first = 0  # index in bounds of the set's first length
+    total = sum(_word_count(len(s), d) for s, d in batch)
+    # only the part the kept words fill is ever touched
+    words, logs = np.empty((total, n, n)), np.empty(total)
+    bounds, kept = [0], []
     for s, d in batch:
-        members, k = s.members, len(s)
-        a = bounds[first]
-        logs[a:a + k] = _normalize_batch(members, words[a:a + k])
-        base, base_logs = words[a:a + k], logs[a:a + k]
-        for i in range(first + 1, first + d):
-            prev = slice(bounds[i - 1], bounds[i])
-            cur = slice(bounds[i], bounds[i + 1])
-            extra = _normalize_batch(_pairwise(np.matmul, words[prev], base),
-                                     words[cur])
-            logs[cur] = (logs[prev][:, None]
-                         + base_logs[None, :]).reshape(-1) + extra
-        first += d
-    # the row-sum norms are the bracket's own row-sum stage, bit for bit;
-    # other norms first: the bracket's temporaries then reuse the memory the
-    # norms' temporaries freed, so the heap grows less per scan and the
-    # 65,536-word symmetrization levels take fewer page faults
+        a, k = bounds[-1], len(s)
+        raw, prefix, keep = s.members, None, None
+        for m in range(1, d + 1):
+            b = bounds[-1]
+            if m > 1:
+                prev = slice(bounds[-2], b)
+                raw = _pairwise(np.matmul, words[prev], words[a:a + k])
+                prefix = (logs[prev][:, None]
+                          + logs[a:a + k][None, :]).reshape(-1)
+            if m == d and kind == ROW_SUM:
+                keep = _lazy_length(raw, prefix, words[b:], logs[b:])
+                bounds.append(b + np.count_nonzero(keep))
+            else:
+                extra = _normalize_batch(raw, words[b:b + len(raw)])
+                logs[b:b + len(raw)] = (extra if prefix is None
+                                        else prefix + extra)
+                bounds.append(b + len(raw))
+        kept.append(keep)  # a mask: an eighth of the indices' memory
+    del raw, prefix
+    bounds = np.array(bounds)
+    words, logs = words[:bounds[-1]], logs[:bounds[-1]]
+    # the row-sum norms are the bracket's own row-sum stage, bit for bit
     norms = None if kind == ROW_SUM else _stack_norms(words, kind, logs,
                                                       bounds)
     lo, hi, row_norms = _batch_bracket(words, logs, bounds)
@@ -227,10 +289,22 @@ def _scan_batch(batch, kind: str):
     del words, lo, hi, row_norms, norms  # not held while sets are refined
     slices = list(zip(bounds, bounds[1:], norm_logs))
     first = 0
-    for _, d in batch:
-        yield [_Level(m, lo_log[a:b], hi_log[a:b], float(top))
-               for m, (a, b, top) in enumerate(slices[first:first + d], 1)]
+    for (_, d), keep in zip(batch, kept):
+        levels = []
+        for m, (a, b, top) in enumerate(slices[first:first + d], 1):
+            lo_m, hi_m = lo_log[a:b], hi_log[a:b]
+            if m == d and keep is not None:
+                lo_m, hi_m = (_spread(v, keep) for v in (lo_m, hi_m))
+            levels.append(_Level(m, lo_m, hi_m, float(top)))
         first += d
+        yield levels
+
+
+def _spread(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``values`` where ``keep`` holds, and -inf elsewhere."""
+    out = np.full(len(keep), -np.inf)
+    out[keep] = values
+    return out
 
 
 def _refine_best(members: np.ndarray, levels, tol: float):

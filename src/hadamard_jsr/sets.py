@@ -9,8 +9,10 @@ semantics.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -33,10 +35,14 @@ class WeightVector:
     regime: str = CONVEX
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.size == 0 or np.any(w <= 0) or not np.all(np.isfinite(w)):
+        # builtins: numpy's per-call overhead dwarfs a few weights
+        w = tuple(float(x) for x in self.weights)
+        if not w or not all(0.0 < x < math.inf for x in w):
             raise ValueError("weights must be positive finite reals")
-        total = float(w.sum())
+        # in numpy's order, which adds eight or more terms pairwise (sum()
+        # compensates on Python 3.12+)
+        total = (reduce(operator.add, w) if len(w) < 8
+                 else float(np.add.reduce(w)))
         if self.regime == CONVEX:
             if abs(total - 1.0) > _REGIME_TOL * max(1.0, total):
                 raise RegimeError(
@@ -47,7 +53,7 @@ class WeightVector:
                     f"super regime requires sum >= 1, got {total}")
         else:
             raise RegimeError(f"unknown regime {self.regime!r}")
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        object.__setattr__(self, "weights", w)
 
     def __len__(self):
         return len(self.weights)

@@ -27,6 +27,10 @@ DATA = Path(__file__).parent / "data" / "cli_golden"
 INSTANCES = {
     "seed3": ["--seed", "3"],
     "seed5": ["--seed", "5", "--sets", "1", "--size", "3"],
+    # extreme entry scales: deep words' log scales reach thousands
+    **{f"seed5x{s}": ["--seed", "5", "--sets", "1", "--size", "3",
+                      "--scale", s] for s in ("1e100", "1e-100")},
+    **{f"seed3x{s}": ["--seed", "3", "--scale", s] for s in ("1e30", "1e-30")},
 }
 
 # listed, not read from THEOREM_IDS, so that a dropped id fails here
@@ -47,6 +51,10 @@ CASES = {
                                "--norm", norm, *extra]
        for norm in ("inf", "one", "two")
        for tag, extra in (("", []), ("-budget-50", ["--budget", "50"]))},
+    **{f"radius-inf-scale-{s}": ["radius", f"{{seed5x{s}}}", "--depth", "7"]
+       for s in ("1e100", "1e-100")},
+    **{f"symmetrize-scale-{s}": ["symmetrize", f"{{seed3x{s}}}"]
+       for s in ("1e30", "1e-30")},
     "symmetrize": ["symmetrize", "{seed3}"],
     "symmetrize-ab": ["symmetrize", "{seed3}", "--alpha", "0.7",
                       "--alpha2", "0.5"],

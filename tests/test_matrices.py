@@ -477,6 +477,31 @@ def test_one_component_returns_before_the_per_index_loop(n, monkeypatch):
     assert len(reads) == 2
 
 
+def _components_by_eye(adj):
+    # the closure with np.eye and ceil(log2 n) squarings, as a reference
+    n = adj.shape[0]
+    reach = adj | np.eye(n, dtype=bool)
+    for _ in range(max(1, int(np.ceil(np.log2(n)))) if n > 1 else 1):
+        reach = reach | (reach @ reach)
+    mutual = reach & reach.T
+    return sorted({tuple(np.flatnonzero(row)) for row in mutual})
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_components_match_the_closure_by_eye(n):
+    rng = np.random.default_rng(n)
+    # a path through every index needs the most squarings
+    path = np.eye(n, k=1, dtype=bool)
+    cases = [path, path | path.T, np.zeros((n, n), dtype=bool)]
+    cases += [rng.random((n, n)) < p for p in (0.1, 0.2, 0.3, 0.5)
+              for _ in range(25)]
+    for adj in cases:
+        before = adj.copy()
+        comps = matrices._strongly_connected_components(adj)
+        assert sorted(tuple(c) for c in comps) == _components_by_eye(adj)
+        assert np.array_equal(adj, before)  # the input is not written
+
+
 @st.composite
 def length_stacks(draw):
     # row-normalized words of several lengths with their log scales, as the

@@ -18,6 +18,7 @@ from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, CapExceeded,
 from hadamard_jsr import chains, matrices, radius
 from hadamard_jsr.matrices import _batch_bracket
 from hadamard_jsr.oracle import oracle_gen_radius, oracle_spectral_radius
+from hadamard_jsr.sets import _pairwise
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -225,7 +226,8 @@ def _dominates_nothing(lo, hi, logs, n, top, bounds):
 
 
 def _assert_skip_exact(s, kind):
-    levels = []
+    levels, lazy = [], []
+    lazy_length = radius._lazy_length
 
     def spy(batch, logs, bounds):
         out = _batch_bracket(batch, logs, bounds)
@@ -235,11 +237,31 @@ def _assert_skip_exact(s, kind):
                            out[:2, a:b]))
         return out
 
+    def spy_lazy(raw, prefix, out, out_logs):
+        # the last length normalized in full, and the words the raw row
+        # sums keep of it
+        words = np.empty_like(raw)
+        logs = radius._normalize_batch(raw, words)
+        if prefix is not None:
+            logs = prefix + logs
+        keep = lazy_length(raw, prefix, out, out_logs)
+        lazy.append((words, logs, keep))
+        return keep
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(radius, "_batch_bracket", spy)
+        mp.setattr(radius, "_lazy_length", spy_lazy)
         pruned = _queries(s, kind)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrices, "_dominated", _dominates_nothing)
+        mp.setattr(radius, "_dominated", _dominates_nothing)
+        for words, logs, keep in lazy:
+            # a word the raw row sums drop is below its length's best lower
+            # bound in a full pass
+            if not keep.all():
+                lo, hi, _ = _batch_bracket(words, logs, [0, len(words)])
+                assert (radius._log0(hi[~keep]) + logs[~keep]).max() < \
+                    (radius._log0(lo) + logs).max()
         for batch, logs, (lo, hi) in levels:
             full_lo, full_hi, _ = _batch_bracket(batch, logs,
                                                  [0, len(batch)])
@@ -278,13 +300,23 @@ def _pruning_stages(monkeypatch, sigma, depth):
     # per level, the mask of every pruning stage in order: the row-sum stage
     # first, then one per squaring of the loop; one call brackets every
     # length, so each stage's mask is split at its bounds, and a length
-    # that has left the loop gets no more stages
-    levels = []
+    # that has left the loop gets no more stages.  The last length's
+    # row-sum stage is the one radius._lazy_length runs on its raw row
+    # sums over every word, which stands in for the bracket's row-sum stage
+    # on the words it keeps.
+    levels, raw_stages = [], []
     dominated = matrices._dominated
 
     def spy_bracket(batch, logs, bounds):
         levels.extend([] for _ in bounds[1:])
-        return _batch_bracket(batch, logs, bounds)
+        out = _batch_bracket(batch, logs, bounds)
+        [levels[-1][0]] = raw_stages
+        return out
+
+    def spy_raw(*args):
+        gone, top = dominated(*args)
+        raw_stages.append(gone)
+        return gone, top
 
     def spy_dominated(*args):
         gone, top = dominated(*args)
@@ -296,6 +328,7 @@ def _pruning_stages(monkeypatch, sigma, depth):
         return gone, top
 
     monkeypatch.setattr(radius, "_batch_bracket", spy_bracket)
+    monkeypatch.setattr(radius, "_dominated", spy_raw)
     monkeypatch.setattr(matrices, "_dominated", spy_dominated)
     radius_bracket_set(sigma, depth)
     return levels
@@ -387,6 +420,131 @@ def test_seed_pass_spares_most_squarings(monkeypatch):
         counts.append(sum(rows))
     assert counts == [24336, 77677]
     assert counts[0] <= 0.7 * counts[1]
+
+
+def _scan_batch_in_full(batch, kind):
+    # radius._scan_batch with every word of every length normalized and
+    # bracketed, the last length too: the reference the lazy last length
+    # must match bit for bit
+    sizes = [len(s) ** m for s, d in batch for m in range(1, d + 1)]
+    bounds = np.cumsum([0] + sizes)
+    n = batch[0][0].dim
+    words, logs = np.empty((bounds[-1], n, n)), np.empty(bounds[-1])
+    first = 0
+    for s, d in batch:
+        k, a = len(s), bounds[first]
+        logs[a:a + k] = radius._normalize_batch(s.members, words[a:a + k])
+        for i in range(first + 1, first + d):
+            prev = slice(bounds[i - 1], bounds[i])
+            cur = slice(bounds[i], bounds[i + 1])
+            raw = _pairwise(np.matmul, words[prev], words[a:a + k])
+            extra = radius._normalize_batch(raw, words[cur])
+            logs[cur] = (logs[prev][:, None]
+                         + logs[a:a + k][None, :]).reshape(-1) + extra
+        first += d
+    norms = (None if kind == ROW_SUM
+             else matrices._stack_norms(words, kind, logs, bounds))
+    lo, hi, row_norms = _batch_bracket(words, logs, bounds)
+    norm_logs = np.maximum.reduceat(
+        radius._log0(row_norms if norms is None else norms) + logs,
+        bounds[:-1])
+    lo_log, hi_log = radius._log0(lo) + logs, radius._log0(hi) + logs
+    slices = list(zip(bounds, bounds[1:], norm_logs))
+    first = 0
+    for _, d in batch:
+        yield [radius._Level(m, lo_log[a:b], hi_log[a:b], float(top))
+               for m, (a, b, top) in enumerate(slices[first:first + d], 1)]
+        first += d
+
+
+def _outcome(query, *args, **kwargs):
+    # the result, or the type and message of the error raised
+    try:
+        return query(*args, **kwargs)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def _assert_lazy_matches_full(queries):
+    lazy = queries()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radius, "_scan_batch", _scan_batch_in_full)
+        full = queries()
+    # repr tells -0.0 and NaN apart, where == would not
+    assert repr(lazy) == repr(full)
+
+
+@st.composite
+def scaled_sets(draw):
+    # members at entry scales 1e-150 to 1e150: zero members make zero
+    # words, and scalar members words that repeat other words' bits
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["full", "sparse", "reducible", "zero",
+                                      "scalar"]))
+        a = rng.random((n, n))
+        if shape == "sparse":
+            a *= rng.random((n, n)) < 0.5
+        elif shape == "reducible":
+            a = np.triu(a)
+        elif shape == "zero":
+            a[:] = 0.0
+        elif shape == "scalar":
+            a = np.eye(n)
+        members.append(a * 10.0 ** draw(st.integers(-150, 150)))
+    return matrix_set(members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_sets(), st.sampled_from([ROW_SUM, COL_SUM, SPECTRAL]),
+       st.integers(1, 4), st.sampled_from([None, 50, 2000]))
+def test_lazy_last_length_is_exact(sigma, kind, depth, budget):
+    _assert_lazy_matches_full(lambda: [
+        _outcome(radius_bracket_set, sigma, depth, kind, word_budget=budget),
+        _outcome(gelfand_sequence, sigma, depth, kind, word_budget=budget),
+        _outcome(symmetrization_sequence_ab, sigma, 0.7, 0.5, 1, depth,
+                 kind, word_budget=budget)])
+
+
+def _dense_psi():
+    # a dense pair of 3 x 3 matrices, as the symmetrize workload draws them
+    return generate_instance(GeneratorParams(3, 1, 2, 1.0, 1.0, seed=0))[0]
+
+
+@pytest.mark.parametrize("psi", [_dense_psi, _criterion5_psi])
+def test_lazy_last_length_is_exact_on_a_huge_level(psi):
+    psi = psi()
+    level = symmetrize_ab(set_power(psi, 8), 0.5, 0.5)
+    assert len(level) == 2 ** 16
+    _assert_lazy_matches_full(lambda: [
+        radius_bracket_set(level, 1), gelfand_sequence(level, 1).entries,
+        symmetrization_sequence_ab(psi, 0.5, 0.5, 3, 6).levels])
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_lazy_last_length_keeps_a_near_tie(depth):
+    # the diagonal member's radius passes the scalar member's, the best
+    # row-sum lower bound, by 1e-8 relative; the nilpotent member holds the
+    # largest row sum, so only the drop rule keeps the diagonal one
+    sigma = matrix_set([np.eye(2), np.diag([1.0, 1.0 + 1e-8]),
+                        np.array([[0.0, 1e3], [0.0, 0.0]])])
+    _assert_lazy_matches_full(lambda: [
+        radius_bracket_set(sigma, depth), gelfand_sequence(sigma, depth)])
+    _assert_skip_exact(sigma, ROW_SUM)
+
+
+def test_lazy_last_length_brackets_only_kept_words(monkeypatch):
+    # the row sums of the raw words drop all but a few of 65,536 words
+    # before any is normalized
+    level = symmetrize_ab(set_power(_dense_psi(), 8), 0.5, 0.5)
+    sizes = []
+    monkeypatch.setattr(radius, "_batch_bracket", lambda batch, logs, bounds:
+                        sizes.append(len(batch))
+                        or _batch_bracket(batch, logs, bounds))
+    radius_bracket_set(level, 1)
+    assert sizes == [16]
 
 
 def test_symmetrization_dedupes_each_level_set_once(monkeypatch):

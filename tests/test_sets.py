@@ -1,6 +1,8 @@
 """Set algebra: products, powers, Hadamard means, symmetrizations, and
 canonical forms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,33 @@ def test_weight_vector_regimes():
         WeightVector((0.2, 0.2))  # sums below 1
     with pytest.raises(ValueError):
         WeightVector((0.5, -0.1), SUPER)
+
+
+@pytest.mark.parametrize("bad", [(), (0.0,), (0.5, 0.0), (1.0, -0.5),
+                                 (float("nan"), 1.0), (1.0, float("inf")),
+                                 (-float("inf"),), [0.1] * 9 + [0.0]])
+def test_weight_vector_rejects_nonpositive_or_nonfinite(bad):
+    for regime in (CONVEX, SUPER):
+        with pytest.raises(ValueError,
+                           match="^weights must be positive finite reals$"):
+            WeightVector(bad, regime)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 16, 33])
+def test_weight_vector_sums_in_numpy_order(m):
+    rng = np.random.default_rng(m)
+    for _ in range(200):
+        w = rng.random(m) * 10.0 ** rng.integers(-3, 3, m)
+        w *= 0.9 / w.sum()
+        # the message prints the sum, so it shows the order of the adds:
+        # numpy's adds eight or more terms pairwise
+        with pytest.raises(RegimeError, match="^" + re.escape(
+                f"super regime requires sum >= 1, got {w.sum()}") + "$"):
+            WeightVector(w, SUPER)
+        stored = WeightVector(w / w.sum()).weights
+        assert type(stored) is tuple
+        assert all(type(x) is float for x in stored)
+        assert stored == tuple((w / w.sum()).tolist())
 
 
 def test_uniform_weights():
