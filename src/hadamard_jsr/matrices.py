@@ -23,7 +23,9 @@ SPECTRAL = "spectral"  # operator norm on l-2, certified upper bound only
 DEFAULT_TOL = 1e-9
 _SPECTRAL_TOL = 1e-12
 _MAX_SQUARINGS = 256
+_COARSE_TOL = 1e-6
 _COARSE_SQUARINGS = 10
+_GRAM_SQUARINGS = 60
 # slices per batched word scan and per Gram chunk: about where a call's
 # word work matches its fixed cost
 _BATCH_WORDS = 4096
@@ -183,23 +185,55 @@ def _stack_norms(batch: np.ndarray, kind: str, logs, bounds) -> np.ndarray:
     Only ``spectral`` reads ``logs`` and the word-length boundaries
     ``bounds``: it brackets the Gram matrices, scaled by ``exp(2 logs)``,
     under the pruning of :func:`_batch_bracket`, so only each length's
-    largest scaled value is exact and pruned slices read 0."""
+    largest scaled value is exact and pruned slices read 0.  A word scan
+    of at most ``_BATCH_WORDS`` words brackets them in its words' call
+    instead (:func:`_with_grams`)."""
     if kind in (ROW_SUM, COL_SUM):
         # the transposed view sums as ``batch.sum(axis=1)`` does, bit for bit
         sums = batch if kind == ROW_SUM else batch.transpose(0, 2, 1)
         return _last_axis(np.maximum, _last_axis(np.add, sums))
     if kind == SPECTRAL:
-        # a transposed copy multiplies faster than the strided view; one
-        # chunk at a time, so the copy stays small
-        gram = np.empty_like(batch)
-        for a in range(0, len(batch), _BATCH_WORDS):
-            part = batch[a:a + _BATCH_WORDS]
-            np.matmul(np.ascontiguousarray(part.transpose(0, 2, 1)), part,
-                      out=gram[a:a + _BATCH_WORDS])
-        hi = _batch_bracket(gram, 2 * logs, bounds, tol=_SPECTRAL_TOL,
-                            squarings=60)[1]
-        return np.sqrt(hi) * (1.0 + _SPECTRAL_TOL)
+        hi = _batch_bracket(_gram(batch, np.empty_like(batch)), 2 * logs,
+                            bounds, _SPECTRAL_TOL, _GRAM_SQUARINGS)[1]
+        return _gram_norms(hi)
     raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def _gram(batch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the Gram matrix ``w^T w`` of every slice ``w`` to ``out``."""
+    # a transposed copy multiplies faster than the strided view; one chunk
+    # at a time, so the copy stays small
+    for a in range(0, len(batch), _BATCH_WORDS):
+        part = batch[a:a + _BATCH_WORDS]
+        np.matmul(np.ascontiguousarray(part.transpose(0, 2, 1)), part,
+                  out=out[a:a + _BATCH_WORDS])
+    return out
+
+
+def _gram_norms(hi: np.ndarray) -> np.ndarray:
+    """Certified spectral norms from the upper ends ``hi`` of the Gram
+    matrices' brackets."""
+    return np.sqrt(hi) * (1.0 + _SPECTRAL_TOL)
+
+
+def _with_grams(batch: np.ndarray, logs: np.ndarray, bounds):
+    """The arguments of one :func:`_batch_bracket` call that brackets the
+    words of ``batch`` and their Gram matrices.
+
+    The Gram matrices follow the words, length by length, so each Gram
+    length is one more slice of ``bounds``, with the tolerance and squaring
+    cap of :func:`_stack_norms`.  The call's upper ends from
+    ``len(batch)`` on give :func:`_gram_norms`; its other results are
+    those of the two calls, slice by slice.
+    """
+    k, lengths = len(batch), len(bounds) - 1
+    stack = np.empty((2 * k,) + batch.shape[1:])
+    stack[:k] = batch
+    _gram(batch, stack[k:])
+    return (stack, np.concatenate([logs, 2 * logs]),
+            np.concatenate([bounds, k + np.asarray(bounds[1:])]),
+            np.repeat([_COARSE_TOL, _SPECTRAL_TOL], lengths),
+            np.repeat([_COARSE_SQUARINGS, _GRAM_SQUARINGS], lengths))
 
 
 def _strongly_connected_components(adj: np.ndarray) -> list[np.ndarray]:
@@ -318,8 +352,7 @@ def _seeds(row_lo: np.ndarray, logs: np.ndarray, keep: np.ndarray,
 
 
 def _batch_bracket(batch: np.ndarray, logs: np.ndarray, bounds,
-                   tol: float = 1e-6,
-                   squarings: int = _COARSE_SQUARINGS) -> np.ndarray:
+                   tol=_COARSE_TOL, squarings=_COARSE_SQUARINGS) -> np.ndarray:
     """Vectorized Collatz-Wielandt brackets for ``rho`` of every slice, as
     a ``(3, k)`` array of lower ends, upper ends and row-sum norms.
 
@@ -333,8 +366,11 @@ def _batch_bracket(batch: np.ndarray, logs: np.ndarray, bounds,
     ``logs`` are the log scales of the slices, the row-normalized words of
     every length or their Gram matrices; the words of the ``i``-th length
     are ``batch[bounds[i]:bounds[i + 1]]``, so one squaring loop serves
-    every length.  The slices :func:`_dominated` finds, within their own
-    length, get ``[0, 0]``: first on the bounds
+    every length.  ``tol`` and ``squarings`` are the convergence tolerance
+    and squaring cap of every length, or sequences with one of each per
+    length, so that the words and their Gram matrices share the loop
+    (:func:`_with_grams`).  The slices :func:`_dominated` finds, within
+    their own length, get ``[0, 0]``: first on the bounds
     ``min_i r_i <= rho <= max_i r_i`` (which the first step reaches), so
     only the survivors are squared, then after each squaring.
 
@@ -386,18 +422,26 @@ def _batch_bracket(batch: np.ndarray, logs: np.ndarray, bounds,
 
 
 def _squarings(p: np.ndarray, logs: np.ndarray, bounds, top: list[float],
-               tol: float, squarings: int):
+               tol, squarings):
     """The squaring loop of :func:`_batch_bracket` on the gathered slices
     ``p``, which it shifts in place: their lower and upper ends (``0`` where
     dropped) and the new ``top``.
 
-    A slice leaves the loop once its bracket converges or :func:`_dominated`
-    drops it.  The stacks are gathered again only once a quarter of their
-    rows have left; until then a row that has left is still squared, but its
-    bounds stay as they were and it is not dropped again (its lower end is
-    in ``top`` already), so the result is that of a gather at every step.
+    A slice leaves the loop once its bracket converges, its length's
+    squaring cap is reached or :func:`_dominated` drops it.  The stacks are
+    gathered again only once a quarter of their rows have left; until then
+    a row that has left is still squared, but its bounds stay as they were
+    and it is not dropped again (its lower end is in ``top`` already), so
+    the result is that of a gather at every step.  A length's cap is the
+    number of ratio steps its slices take, so a slice gets the bracket a
+    call with that cap alone gives it.
     """
     m, n, _ = p.shape
+    caps = None
+    if np.ndim(squarings):  # one tolerance and cap per row
+        sizes = np.diff(bounds)
+        tol, caps = np.repeat(tol, sizes), np.repeat(squarings, sizes)
+        squarings = int(np.max(squarings))
     # the slice of each row of p and q, its bounds (those of every slice
     # until the first gather), and whether it is in the loop
     idx, lo, hi = np.arange(m), np.zeros(m), np.full(m, np.inf)
@@ -407,7 +451,7 @@ def _squarings(p: np.ndarray, logs: np.ndarray, bounds, top: list[float],
     q = p / _last_axis(np.maximum, p.reshape(m, n * n))[:, None, None]
     live = np.ones(m, dtype=bool)
     edges = bounds
-    for _ in range(squarings):
+    for step in range(1, squarings + 1):
         # q's diagonal is mathematically positive but can underflow
         # under repeated squaring; the clamp keeps x a positive vector
         x = np.maximum(_last_axis(np.add, q), 1e-300)
@@ -418,11 +462,15 @@ def _squarings(p: np.ndarray, logs: np.ndarray, bounds, top: list[float],
                                logs, n, top, edges)
         dropped[idx[gone]] = True
         live &= ~gone & (hi - lo > tol * np.maximum(1.0, hi - 1.0))
+        if caps is not None:
+            live &= caps > step
         left = np.count_nonzero(live)
         if not left:
             break
         if 4 * left <= 3 * len(live):
             best_lo[idx], best_hi[idx] = lo, hi
+            if caps is not None:
+                tol, caps = tol[live], caps[live]
             idx, p, q = idx[live], p[live], q[live]
             lo, hi, logs = lo[live], hi[live], logs[live]
             live = np.ones(left, dtype=bool)

@@ -21,12 +21,16 @@ it through ``bounds``, so each set and length keeps its own best lower
 bound, and each set gets the bracket a call of its own gives it.  The
 pruning is best-first: a slice of more than ``_BATCH_WORDS`` survivors of
 the row-sum stage first brackets its few best words, whose lower ends
-then prune the rest before they are squared.  Under the row-sum norm the
-last length of each set, its largest, is lazy: the rule runs first on its
-raw row sums, and only the words it keeps are normalized and bracketed.
-Shorter lengths are the prefixes of longer words, and the other norms read
-every word, so those are normalized in full; the row-sum norms come from
-the coarse pass's own row-sum stage.
+then prune the rest before they are squared.  The last length of each
+set, its largest, is lazy under every norm: the rule runs first on its raw
+row sums, and only the words it keeps, with those whose certified norm
+bounds can reach the length's largest norm, are normalized and bracketed.
+Shorter lengths are the prefixes of longer words, so those are normalized
+in full.  The row-sum norms come from the coarse pass's own row-sum stage.
+Under the two norm, a scan of at most ``_BATCH_WORDS`` words brackets
+their Gram matrices in the same squaring loop, each Gram length one more
+slice with its own tolerance and cap; a larger scan brackets them in a
+second call.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import CapExceeded, SoundnessError
-from .matrices import (_BATCH_WORDS, DEFAULT_TOL, ROW_SUM, RadiusBracket,
-                       _batch_bracket, _dominated, _last_axis, _stack_norms,
+from .matrices import (_BATCH_WORDS, DEFAULT_TOL, ROW_SUM, SPECTRAL,
+                       RadiusBracket, _batch_bracket, _dominated, _gram_norms,
+                       _last_axis, _stack_norms, _with_grams,
                        spectral_radius_bracket)
 from .sets import (MatrixSet, _kernel_exponents, _pairwise, dedupe,
                    set_power, symmetrize_ab)
@@ -94,10 +99,10 @@ def _normalize_batch(batch: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _lazy_length(raw: np.ndarray, prefix, out: np.ndarray,
-                 out_logs: np.ndarray) -> np.ndarray:
+                 out_logs: np.ndarray, kind: str) -> np.ndarray:
     """Normalize into ``out``, in order, and their log scales into
     ``out_logs``, only the words of the length ``raw`` that its bracket and
-    row-sum norm can read; return the mask of those words.
+    ``kind`` norm can read; return the mask of those words.
 
     ``prefix`` holds the words' log scales before their own row-sum norm
     ``s`` (``None`` for a set's members); it is added to in place.  ``s``
@@ -106,10 +111,10 @@ def _lazy_length(raw: np.ndarray, prefix, out: np.ndarray,
     gives it.  A word is dropped when :func:`matrices._dominated` finds its
     raw ``[min, max]`` row sum over ``s`` dominated; that is within about
     ``n + 1`` ulps of the normalized word's, well inside the rule's guard.
-    A normalized word's max row sum is within ``n + 1`` ulps of 1, so the
-    length's largest row-sum norm belongs to a word whose log scale lies
-    within a rounding guard of the largest, relative to its size; those
-    words are kept whatever the rule's margins.
+    It is kept, whatever the rule says, when the certified bounds of
+    :func:`_norm_bounds` let its norm reach the length's largest, within a
+    rounding guard relative to its size; so the largest norm is that of a
+    kept word, as in a full pass.
     """
     n = raw.shape[-1]
     rows = _last_axis(np.add, raw)
@@ -122,15 +127,41 @@ def _lazy_length(raw: np.ndarray, prefix, out: np.ndarray,
     lo /= safe
     hi /= safe
     gone = _dominated(lo, hi, logs, n, [-np.inf], [0, len(hi)])[0]
-    top = logs.max()
+    norm_lo, norm_hi = _norm_bounds(raw, kind, hi, safe, logs)
+    top = norm_lo.max()
     keep = ~gone
-    keep |= logs >= top - 1e-12 * (n + abs(top))
+    keep |= norm_hi >= top - 1e-12 * (n + abs(top))
     # gathered straight into the stack and divided there: no second copy
     idx = np.flatnonzero(keep)
     w = np.take(raw, idx, axis=0, out=out[:len(idx)], mode="clip")
     w /= safe[idx, None, None]
     out_logs[:len(idx)] = logs[idx]
     return keep
+
+
+def _norm_bounds(raw: np.ndarray, kind: str, r: np.ndarray,
+                 safe: np.ndarray, logs: np.ndarray):
+    """Certified log lower and upper bounds of the ``kind`` norm of each
+    normalized word ``raw / safe``, whose largest row sum is ``r``.
+
+    The row-sum norm is ``r``, and the column-sum norm the largest column
+    sum ``c`` of ``raw`` over ``safe``; both are exact up to a few ulps.
+    The spectral norm lies in ``[max(r, c) / sqrt(n), sqrt(r c)]``.  Its
+    computed value never passes the upper end: the Gram matrix's bracket
+    has an upper end at most its largest row sum, which is at most
+    ``r c``, and a word a length drops cannot hold its printed norm.
+    """
+    if kind == ROW_SUM:  # a normalized word's r is 1, or 0 with logs -inf
+        return logs, logs
+    cols = _last_axis(np.add, raw.transpose(0, 2, 1))
+    c = _last_axis(np.maximum, cols) / safe
+    del cols
+    if kind != SPECTRAL:
+        c = _log0(c) + logs
+        return c, c
+    n = raw.shape[-1]
+    return (_log0(np.maximum(r, c)) - 0.5 * math.log(n) + logs,
+            0.5 * _log0(r * c) + logs)
 
 
 def _word_count(k: int, depth: int) -> int:
@@ -157,11 +188,18 @@ def _digits(idx: int, k: int, m: int) -> tuple[int, ...]:
 
 
 def _word_matrix(members: np.ndarray, digits) -> tuple[np.ndarray, float]:
-    """Renormalized product of the given word; returns (matrix, log scale)."""
+    """Renormalized product of the given word; returns (matrix, log scale).
+
+    Only the first product, of two raw members, can overflow on valid
+    input; see :func:`_first_product`.
+    """
     prod = members[digits[0]].copy()
     logscale = 0.0
-    for d in digits[1:]:
-        prod = prod @ members[d]
+    for i, d in enumerate(digits[1:]):
+        if i:
+            prod = prod @ members[d]
+        else:
+            prod, logscale = _first_product(prod, members[d])
         s = prod.sum(axis=1).max()
         if s == 0:
             return prod, -math.inf
@@ -173,6 +211,23 @@ def _word_matrix(members: np.ndarray, digits) -> tuple[np.ndarray, float]:
     prod /= s
     logscale += math.log(s)
     return prod, logscale
+
+
+def _first_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(a @ b, 0.0)``, or where that overflows, ``(2**-e a @ b, e log 2)``
+    with ``2**e`` the power of two at ``a``'s row-sum norm.
+
+    Dividing by a power of two is exact, so the second product is the first
+    scaled; its row-sum norm is at most ``b``'s, and it normalizes to the
+    matrix the exact product would.  A product that does not overflow keeps
+    its bits.
+    """
+    with np.errstate(over="ignore"):
+        prod = a @ b
+    if np.logical_and.reduce(np.isfinite(prod), axis=None):
+        return prod, 0.0
+    e = math.frexp(a.sum(axis=1).max())[1]
+    return np.ldexp(a, -e) @ b, e * math.log(2.0)
 
 
 @dataclass
@@ -240,15 +295,17 @@ def _scans(sets, depth: int, kind: str, cap: int, word_budget: int | None):
 def _scan_batch(batch, kind: str):
     """The levels of each ``(set, depth)`` of ``batch``, from one stack of
     all their words: set by set, the words of length ``m`` in one slice
-    marked by ``bounds``, so one ``_batch_bracket`` call, and for norms
-    other than the row sums one ``_stack_norms`` call, serve every set and
-    length.
+    marked by ``bounds``, so one ``_batch_bracket`` call serves every set
+    and length.  Under the column-sum norm one ``_stack_norms`` call adds
+    the norms.  Under the two norm the Gram matrices join the words' call
+    when the stack holds at most ``_BATCH_WORDS`` words; a larger stack
+    brackets them in a ``_stack_norms`` call, so that the joined stack
+    does not raise peak memory.
 
-    Under the row-sum norm each set's last length holds only the words
-    :func:`_lazy_length` keeps; its level reads ``-inf`` for the others,
-    as for a word the bracket drops.  Shorter lengths are the prefixes of
-    longer words, and other norms read every word, so these are kept in
-    full.
+    Each set's last length holds only the words :func:`_lazy_length`
+    keeps; its level reads ``-inf`` for the others, as for a word the
+    bracket drops.  Shorter lengths are the prefixes of longer words, so
+    these are kept in full.
     """
     if not batch:
         return
@@ -267,8 +324,8 @@ def _scan_batch(batch, kind: str):
                 raw = _pairwise(np.matmul, words[prev], words[a:a + k])
                 prefix = (logs[prev][:, None]
                           + logs[a:a + k][None, :]).reshape(-1)
-            if m == d and kind == ROW_SUM:
-                keep = _lazy_length(raw, prefix, words[b:], logs[b:])
+            if m == d:
+                keep = _lazy_length(raw, prefix, words[b:], logs[b:], kind)
                 bounds.append(b + np.count_nonzero(keep))
             else:
                 extra = _normalize_batch(raw, words[b:b + len(raw)])
@@ -278,11 +335,18 @@ def _scan_batch(batch, kind: str):
         kept.append(keep)  # a mask: an eighth of the indices' memory
     del raw, prefix
     bounds = np.array(bounds)
-    words, logs = words[:bounds[-1]], logs[:bounds[-1]]
-    # the row-sum norms are the bracket's own row-sum stage, bit for bit
-    norms = None if kind == ROW_SUM else _stack_norms(words, kind, logs,
-                                                      bounds)
-    lo, hi, row_norms = _batch_bracket(words, logs, bounds)
+    k = bounds[-1]
+    words, logs = words[:k], logs[:k]
+    if kind == SPECTRAL and k <= _BATCH_WORDS:
+        # one squaring loop for the words and their Gram matrices
+        lo, hi, row_norms = _batch_bracket(*_with_grams(words, logs, bounds))
+        norms = _gram_norms(hi[k:])
+        lo, hi, row_norms = lo[:k], hi[:k], row_norms[:k]
+    else:
+        # the row-sum norms are the bracket's own row-sum stage, bit for bit
+        norms = None if kind == ROW_SUM else _stack_norms(words, kind, logs,
+                                                          bounds)
+        lo, hi, row_norms = _batch_bracket(words, logs, bounds)
     norm_logs = np.maximum.reduceat(
         _log0(row_norms if norms is None else norms) + logs, bounds[:-1])
     lo_log, hi_log = _log0(lo) + logs, _log0(hi) + logs

@@ -53,9 +53,14 @@ CASES = {
        for tag, extra in (("", []), ("-budget-50", ["--budget", "50"]))},
     **{f"radius-inf-scale-{s}": ["radius", f"{{seed5x{s}}}", "--depth", "7"]
        for s in ("1e100", "1e-100")},
+    **{f"radius-two-scale-{s}": ["radius", f"{{seed5x{s}}}", "--depth", "7",
+                                 "--norm", "two"]
+       for s in ("1e100", "1e-100")},
     **{f"symmetrize-scale-{s}": ["symmetrize", f"{{seed3x{s}}}"]
        for s in ("1e30", "1e-30")},
     "symmetrize": ["symmetrize", "{seed3}"],
+    **{f"symmetrize-{norm}": ["symmetrize", "{seed3}", "--norm", norm]
+       for norm in ("one", "two")},
     "symmetrize-ab": ["symmetrize", "{seed3}", "--alpha", "0.7",
                       "--alpha2", "0.5"],
 }

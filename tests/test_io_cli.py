@@ -264,6 +264,25 @@ def test_cli_zhan_chain_overflow_names_the_product(tmp_path, capsys):
         assert not [w for w in caught if w.category is RuntimeWarning]
 
 
+def test_cli_radius_rebuilds_huge_words_without_overflow(tmp_path, capsys):
+    # entries near 1e200: the refined word's first product passes 1e308
+    inst = _gen(tmp_path, seed=0, sets=1, size=2, scale=1e200)
+    rows = {}
+    for depth in (1, 2):
+        out = tmp_path / f"depth{depth}.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_command(["radius", str(inst), "--depth", str(depth),
+                                "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        rows[depth] = out.read_text().splitlines()
+    assert len(rows[2]) == 3
+    assert rows[2][1] == rows[1][1]
+
+
 def test_cli_unresolvable_bracket_exits_5(tmp_path, capsys):
     # entry ratio 1e16: the Perron vector is beyond double precision
     inst = tmp_path / "wide.json"

@@ -545,6 +545,20 @@ def test_one_call_brackets_each_length_as_its_own_call(stack):
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(length_stacks())
+def test_words_and_grams_share_a_call_bit_for_bit(stack):
+    # one call over the words and their Gram matrices gives the words'
+    # brackets and the spectral norms of two calls
+    batch, logs, bounds = stack
+    k = len(batch)
+    got = matrices._batch_bracket(*matrices._with_grams(batch, logs, bounds))
+    want = matrices._batch_bracket(batch, logs, bounds)
+    assert got[:, :k].tobytes() == want.tobytes()
+    norms = matrices._stack_norms(batch, SPECTRAL, logs, bounds)
+    assert matrices._gram_norms(got[1, k:]).tobytes() == norms.tobytes()
+
+
 def _dominated_per_slice(lo, hi, logs, n, top, bounds):
     # the reference: one length at a time
     g = 1e-13 * n

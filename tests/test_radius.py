@@ -229,23 +229,26 @@ def _assert_skip_exact(s, kind):
     levels, lazy = [], []
     lazy_length = radius._lazy_length
 
-    def spy(batch, logs, bounds):
-        out = _batch_bracket(batch, logs, bounds)
-        # one call brackets every length; each length is checked alone
-        for a, b in zip(bounds[:-1], bounds[1:]):
+    def spy(batch, logs, bounds, *opts):
+        out = _batch_bracket(batch, logs, bounds, *opts)
+        # one call brackets every length, and under the two norm the Gram
+        # matrices of small scans too; each slice is checked alone, with
+        # its own tolerance and squaring cap
+        per_slice = [np.broadcast_to(x, len(bounds) - 1) for x in opts]
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             levels.append((batch[a:b].copy(), logs[a:b].copy(),
-                           out[:2, a:b]))
+                           out[:2, a:b], [x[i] for x in per_slice]))
         return out
 
-    def spy_lazy(raw, prefix, out, out_logs):
+    def spy_lazy(raw, prefix, out, out_logs, kind):
         # the last length normalized in full, and the words the raw row
-        # sums keep of it
+        # sums and norm bounds keep of it
         words = np.empty_like(raw)
         logs = radius._normalize_batch(raw, words)
         if prefix is not None:
             logs = prefix + logs
-        keep = lazy_length(raw, prefix, out, out_logs)
-        lazy.append((words, logs, keep))
+        keep = lazy_length(raw, prefix, out, out_logs, kind)
+        lazy.append((words, logs, keep, kind))
         return keep
 
     with pytest.MonkeyPatch.context() as mp:
@@ -255,16 +258,20 @@ def _assert_skip_exact(s, kind):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrices, "_dominated", _dominates_nothing)
         mp.setattr(radius, "_dominated", _dominates_nothing)
-        for words, logs, keep in lazy:
+        for words, logs, keep, lazy_kind in lazy:
             # a word the raw row sums drop is below its length's best lower
-            # bound in a full pass
+            # bound in a full pass, and its norm below the length's largest
             if not keep.all():
-                lo, hi, _ = _batch_bracket(words, logs, [0, len(words)])
+                lo, hi, rows = _batch_bracket(words, logs, [0, len(words)])
                 assert (radius._log0(hi[~keep]) + logs[~keep]).max() < \
                     (radius._log0(lo) + logs).max()
-        for batch, logs, (lo, hi) in levels:
+                norms = radius._log0(
+                    rows if lazy_kind == ROW_SUM else matrices._stack_norms(
+                        words, lazy_kind, logs, [0, len(words)])) + logs
+                assert norms[~keep].max() < norms.max()
+        for batch, logs, (lo, hi), opts in levels:
             full_lo, full_hi, _ = _batch_bracket(batch, logs,
-                                                 [0, len(batch)])
+                                                 [0, len(batch)], *opts)
             # words bracketed to the end match a full pass bit for bit; the
             # skipped and dropped ones get [0, 0]
             exact = (lo == full_lo) & (hi == full_hi)
@@ -275,7 +282,8 @@ def _assert_skip_exact(s, kind):
                 # below the level's best lower bound: neither its argmax
                 # nor a refinement candidate of any query
                 assert hi_log[~exact].max() < lo_log.max()
-        # the two-norm Gram stacks are pruned too, and bracketed in full here
+        # the two-norm Gram stacks are pruned too, and bracketed in full here;
+        # so is every word of the last length
         assert _queries(s, kind) == pruned
 
 
@@ -307,9 +315,9 @@ def _pruning_stages(monkeypatch, sigma, depth):
     levels, raw_stages = [], []
     dominated = matrices._dominated
 
-    def spy_bracket(batch, logs, bounds):
+    def spy_bracket(batch, logs, bounds, *opts):
         levels.extend([] for _ in bounds[1:])
-        out = _batch_bracket(batch, logs, bounds)
+        out = _batch_bracket(batch, logs, bounds, *opts)
         [levels[-1][0]] = raw_stages
         return out
 
@@ -513,14 +521,25 @@ def _dense_psi():
     return generate_instance(GeneratorParams(3, 1, 2, 1.0, 1.0, seed=0))[0]
 
 
+@pytest.mark.parametrize("kind", [ROW_SUM, COL_SUM, SPECTRAL])
 @pytest.mark.parametrize("psi", [_dense_psi, _criterion5_psi])
-def test_lazy_last_length_is_exact_on_a_huge_level(psi):
+def test_lazy_last_length_is_exact_on_a_huge_level(psi, kind):
     psi = psi()
     level = symmetrize_ab(set_power(psi, 8), 0.5, 0.5)
     assert len(level) == 2 ** 16
     _assert_lazy_matches_full(lambda: [
-        radius_bracket_set(level, 1), gelfand_sequence(level, 1).entries,
-        symmetrization_sequence_ab(psi, 0.5, 0.5, 3, 6).levels])
+        radius_bracket_set(level, 1, kind),
+        gelfand_sequence(level, 1, kind).entries,
+        symmetrization_sequence_ab(psi, 0.5, 0.5, 3, 6, kind).levels])
+
+
+def test_lazy_last_length_is_exact_on_a_reducible_level():
+    # more than _BATCH_WORDS words survive the raw stage, so the words and
+    # their Gram matrices are bracketed in two calls
+    _, level, _ = _huge_level("upper")
+    _assert_lazy_matches_full(lambda: [
+        radius_bracket_set(level, 1, SPECTRAL),
+        gelfand_sequence(level, 1, SPECTRAL).entries])
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -540,11 +559,58 @@ def test_lazy_last_length_brackets_only_kept_words(monkeypatch):
     # before any is normalized
     level = symmetrize_ab(set_power(_dense_psi(), 8), 0.5, 0.5)
     sizes = []
-    monkeypatch.setattr(radius, "_batch_bracket", lambda batch, logs, bounds:
+    monkeypatch.setattr(radius, "_batch_bracket", lambda batch, *rest:
                         sizes.append(len(batch))
-                        or _batch_bracket(batch, logs, bounds))
+                        or _batch_bracket(batch, *rest))
     radius_bracket_set(level, 1)
     assert sizes == [16]
+
+
+def _spy_all_brackets(monkeypatch):
+    # every _batch_bracket call, the Gram calls of _stack_norms too
+    calls, lazy = [], []
+    lazy_length = radius._lazy_length
+
+    def spy(batch, logs, bounds, *opts):
+        calls.append((batch.copy(), list(bounds), opts))
+        return _batch_bracket(batch, logs, bounds, *opts)
+
+    monkeypatch.setattr(radius, "_batch_bracket", spy)
+    monkeypatch.setattr(matrices, "_batch_bracket", spy)
+    monkeypatch.setattr(radius, "_lazy_length", lambda *args: lazy.append(
+        lazy_length(*args)) or lazy[-1])
+    return calls, lazy
+
+
+def test_two_norm_small_scan_brackets_words_and_grams_in_one_call(
+        monkeypatch):
+    level = symmetrize_ab(set_power(_dense_psi(), 8), 0.5, 0.5)
+    calls, lazy = _spy_all_brackets(monkeypatch)
+    radius_bracket_set(level, 1, SPECTRAL)
+    [keep] = lazy
+    [(batch, bounds, (tol, squarings))] = calls
+    # the kept words, then their Gram matrices: one more slice each, with
+    # the Gram bracket's tolerance and cap
+    k = int(np.count_nonzero(keep))
+    assert k < 2 ** 16 // 100
+    assert bounds == [0, k, 2 * k]
+    assert batch.shape == (2 * k, 3, 3)
+    gram = np.matmul(batch[:k].transpose(0, 2, 1), batch[:k])
+    assert batch[k:].tobytes() == gram.tobytes()
+    assert tol.tolist() == [1e-6, matrices._SPECTRAL_TOL]
+    assert squarings.tolist() == [10, 60]
+
+
+def test_two_norm_large_scan_keeps_two_calls(monkeypatch):
+    # the reducible level keeps more than _BATCH_WORDS words
+    _, level, _ = _huge_level("upper")
+    calls, lazy = _spy_all_brackets(monkeypatch)
+    radius_bracket_set(level, 1, SPECTRAL)
+    [keep] = lazy
+    k = int(np.count_nonzero(keep))
+    assert k > matrices._BATCH_WORDS
+    assert [(len(batch), bounds, opts) for batch, bounds, opts in calls] == [
+        (k, [0, k], (matrices._SPECTRAL_TOL, 60)), (k, [0, k], ())]
 
 
 def test_symmetrization_dedupes_each_level_set_once(monkeypatch):
