@@ -59,8 +59,8 @@ class GeneratorParams:
             raise ValueError("dim, set_count and set_size must be positive")
         if not 0.0 < self.density <= 1.0:
             raise ValueError("density must lie in (0, 1]")
-        if self.entry_scale <= 0:
-            raise ValueError("entry_scale must be positive")
+        if not 0.0 < self.entry_scale < float("inf"):
+            raise ValueError("entry_scale must be positive and finite")
 
 
 def generate_instance(p: GeneratorParams) -> list[MatrixSet]:

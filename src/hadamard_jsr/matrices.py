@@ -31,6 +31,9 @@ _GRAM_SQUARINGS = 60
 _BATCH_WORDS = 4096
 # words a length of more than _BATCH_WORDS survivors brackets first
 _SEED_WORDS = 32
+# slices of a stack the sharing gate of _batch_bracket hashes
+_SAMPLE_ROWS = 1024
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _NOT_FINITE = "matrix entries must be finite (no NaN/inf)"
 _NOT_REAL = "matrix entries must be real"
 
@@ -370,7 +373,104 @@ def _batch_bracket(batch: np.ndarray, logs: np.ndarray, bounds,
     and squaring cap of every length, or sequences with one of each per
     length, so that the words and their Gram matrices share the loop
     (:func:`_with_grams`).  The slices :func:`_dominated` finds, within
-    their own length, get ``[0, 0]``: first on the bounds
+    their own length, get ``[0, 0]`` (:func:`_bracket_slices`).
+
+    A stack of more than ``_BATCH_WORDS`` slices of ``n > 1`` brackets
+    each distinct slice of a length once, when :func:`_distinct_slices`
+    finds at most half of them distinct: one slice of each, with the
+    largest log scale of its copies, goes through the loop, and every copy
+    gets its bracket.  This is exact.  A copy's arithmetic is its
+    representative's, bit for bit, so a copy that is bracketed gets the
+    bracket a full pass gives it.  The representative dominates its
+    copies, so each length's best lower end is unchanged; a copy given
+    ``[0, 0]`` has its representative's full-pass upper end, scaled down,
+    below that length's final best lower end, and a copy that is
+    bracketed only here is one the pass without sharing would drop, below
+    it too.  Either way it is neither a length's best lower bound, nor a
+    refinement candidate, nor its largest norm.
+    """
+    shared = (_distinct_slices(batch, bounds)
+              if len(batch) > _BATCH_WORDS and batch.shape[1] > 1 else None)
+    if shared is None:
+        return _bracket_slices(batch, logs, bounds, tol, squarings)
+    first, inverse = shared
+    scales = np.full(len(first), -np.inf)
+    np.maximum.at(scales, inverse, logs)
+    return _bracket_slices(batch[first], scales,
+                           np.searchsorted(first, bounds), tol,
+                           squarings)[:, inverse]
+
+
+def _row_hashes(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of ``flat``, the ``uint64`` view of a
+    stack's slices, and of its length index ``lengths``: every column, and
+    the index, times its own odd constant, summed modulo ``2**64``.  Equal
+    hashes only propose a merge; :func:`_distinct_slices` checks it."""
+    # splitmix64's output function on 1, 2, ...: well-mixed constants
+    c = np.arange(1, flat.shape[1] + 2, dtype=np.uint64) * _GOLDEN_GAMMA
+    c = (c ^ (c >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    c = (c ^ (c >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    c = (c ^ (c >> np.uint64(31))) | np.uint64(1)
+    return flat @ c[1:] + lengths.astype(np.uint64) * c[0]
+
+
+def _distinct_slices(batch: np.ndarray, bounds):
+    """``(first, inverse)`` of a stack whose lengths hold at most half as
+    many distinct slices as slices, or ``None``.
+
+    ``first`` holds the ascending index of the first slice of each
+    distinct one, and ``inverse`` the position in ``first`` of each
+    slice's; a slice and its first are equal bit for bit and of one
+    length.  A strided sample of about ``_SAMPLE_ROWS`` slices is hashed
+    first, and only when at most half its hashes are distinct is every
+    slice hashed and sorted.  Every merge the hashes propose is then
+    checked, a chunk of slices at a time; one that fails, as a hash
+    collision would, gives ``None``.
+    """
+    k = len(batch)
+    flat = np.ascontiguousarray(batch).reshape(k, -1).view(np.uint64)
+    edges = np.asarray(bounds)
+    sample = np.arange(0, k, max(1, k // _SAMPLE_ROWS))
+    hashes = np.sort(_row_hashes(
+        flat[sample], np.searchsorted(edges, sample, "right") - 1))
+    # np.unique's own overhead is ten times this sort's
+    if 2 * (1 + np.count_nonzero(hashes[1:] != hashes[:-1])) > len(sample):
+        return None
+    lengths = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
+    hashes = _row_hashes(flat, lengths)
+    order = np.argsort(hashes)
+    hashes = hashes[order]
+    new = np.empty(k, dtype=bool)
+    new[0] = True
+    np.not_equal(hashes[1:], hashes[:-1], out=new[1:])
+    del hashes
+    starts = np.flatnonzero(new)
+    if 2 * len(starts) > k:
+        return None
+    first = np.minimum.reduceat(order, starts)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    inverse = np.empty(k, dtype=np.intp)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    first = np.sort(first)
+    del order, new, starts, rank
+    if not np.array_equal(lengths[first][inverse], lengths):
+        return None
+    rows = np.empty((min(k, _BATCH_WORDS), flat.shape[1]), dtype=np.uint64)
+    for a in range(0, k, _BATCH_WORDS):
+        part = flat[a:a + _BATCH_WORDS]
+        np.take(flat, first[inverse[a:a + _BATCH_WORDS]], axis=0,
+                out=rows[:len(part)])
+        if not np.array_equal(rows[:len(part)], part):
+            return None
+    return first, inverse
+
+
+def _bracket_slices(batch: np.ndarray, logs: np.ndarray, bounds, tol,
+                    squarings) -> np.ndarray:
+    """:func:`_batch_bracket` of every slice, with no sharing.
+
+    The slices :func:`_dominated` finds get ``[0, 0]``: first on the bounds
     ``min_i r_i <= rho <= max_i r_i`` (which the first step reaches), so
     only the survivors are squared, then after each squaring.
 

@@ -30,7 +30,10 @@ in full.  The row-sum norms come from the coarse pass's own row-sum stage.
 Under the two norm, a scan of at most ``_BATCH_WORDS`` words brackets
 their Gram matrices in the same squaring loop, each Gram length one more
 slice with its own tolerance and cap; a larger scan brackets them in a
-second call.
+second call.  Sets of more than ``_BATCH_WORDS`` members are not deduped;
+in a stack that large, when at most half its words are distinct, the
+bracket squares each distinct normalized word of a length once and gives
+its copies its bracket, which is exact (see ``matrices._batch_bracket``).
 """
 
 from __future__ import annotations
@@ -245,9 +248,12 @@ def _log0(x: np.ndarray) -> np.ndarray:
 
 
 def _dedupe_fast(sigma: MatrixSet) -> MatrixSet:
-    """Dedupe small sets; very large sets are used as-is (duplicates are
-    rare there and the sort would dominate the whole computation)."""
-    return dedupe(sigma) if len(sigma) <= 4096 else sigma
+    """Dedupe sets of at most ``_BATCH_WORDS`` members; larger ones are
+    used as they are, since the sort would cost more than their scan.  The
+    copies they hold, and those the normalization makes, are shared by the
+    bracket instead where at most half the words are distinct
+    (``matrices._batch_bracket``)."""
+    return dedupe(sigma) if len(sigma) <= _BATCH_WORDS else sigma
 
 
 def _check_search(depth: int, word_budget: int | None) -> None:

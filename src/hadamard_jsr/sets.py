@@ -280,9 +280,11 @@ def dedupe(psi: MatrixSet, tol: float = 0.0) -> MatrixSet:
     stable ``np.lexsort`` of the members, keeping the first of each run of
     equal ones, gives the members and order of ``np.unique(flat, axis=0)``.
     It is faster up to thousands of members and on stacks with many
-    repeats, and slower on tens of thousands of distinct members, which
-    the radius queries never dedupe (they scan sets above 4,096 members as
-    they are).  A one-member set is returned as it is.
+    repeats, and slower on tens of thousands of distinct members.  The
+    radius queries dedupe only sets of at most 4,096 members; a larger
+    set is scanned as it is, and where at most half its words are
+    distinct, its batched bracket brackets each distinct word once.  A
+    one-member set is returned as it is.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")

@@ -53,6 +53,11 @@ def test_generator_param_validation():
         GeneratorParams(2, 1, 1, density=0.0)
     with pytest.raises(ValueError):
         GeneratorParams(2, 1, 1, entry_scale=-1.0)
+    # named as a bad scale, not as the non-finite entries it would make
+    for scale in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="entry_scale must be positive "
+                                             "and finite"):
+            GeneratorParams(2, 1, 1, entry_scale=scale)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -207,7 +212,9 @@ def test_cli_parse_error_exit_4(tmp_path):
                  ["radius", inst, "--budget", "0"],
                  ["radius", inst, "--budget", "-5"],
                  ["chain", inst, "--theorem", "powers", "--budget", "-1"],
-                 ["verify-all", "--seeds", "0", "--budget", "0"]):
+                 ["verify-all", "--seeds", "0", "--budget", "0"],
+                 ["gen", "--scale", "nan"],
+                 ["gen", "--scale", "inf"]):
         assert run_command(argv + ["--out", str(tmp_path / "x")]) == 4, argv
 
 

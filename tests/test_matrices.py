@@ -621,3 +621,101 @@ def test_gram_chunks_match_the_whole_product(k, monkeypatch):
     [gram] = seen
     want = np.matmul(batch.transpose(0, 2, 1), batch)
     assert gram.tobytes() == want.tobytes()
+
+
+# --- each distinct slice bracketed once -------------------------------------
+
+def _no_sharing(batch, bounds):
+    # the reference: every slice bracketed as if it were distinct
+    return None
+
+
+def _spy_sharing(monkeypatch):
+    found = []
+    distinct = matrices._distinct_slices
+    monkeypatch.setattr(matrices, "_distinct_slices", lambda *args: found.append(
+        distinct(*args)) or found[-1])
+    return found
+
+
+def _tiled_stack(same_words=False):
+    # 4,800 row-normalized 3 x 3 slices over two lengths, each length a
+    # tiling of four distinct words (one reducible, one with a zero row),
+    # every slice with a log scale of its own
+    rng = np.random.default_rng(20)
+    words = rng.random((8, 3, 3))
+    words[[1, 5]] = np.triu(words[[1, 5]])
+    words[[2, 6], 2] = 0.0
+    if same_words:
+        words[4:] = words[:4]
+    words /= words.sum(axis=2).max(axis=1)[:, None, None]
+    pick = rng.integers(0, 4, 4800) + np.repeat([0, 4], 2400)
+    # the first word of each length is its best by far, but a tenth of its
+    # copies lie far below every other word: only its largest log scale
+    # keeps its best copies
+    best = pick % 4 == 0
+    logs = rng.normal(0.0, 0.5, 4800) + 3.0 * best
+    logs[best & (rng.random(4800) < 0.1)] -= 30.0
+    return words[pick], logs, [0, 2400, 4800]
+
+
+@pytest.mark.parametrize("opts", [(), (np.array([1e-6, 1e-12]),
+                                       np.array([10, 60]))],
+                         ids=["one-tol", "tol-per-length"])
+def test_shared_brackets_are_exact(opts, monkeypatch):
+    batch, logs, bounds = _tiled_stack()
+    assert len(batch) > matrices._BATCH_WORDS
+    found = _spy_sharing(monkeypatch)
+    got = matrices._batch_bracket(batch, logs, bounds, *opts)
+    [(first, _)] = found
+    assert np.searchsorted(first, bounds).tolist() == [0, 4, 8]
+    monkeypatch.setattr(matrices, "_distinct_slices", _no_sharing)
+    want = matrices._batch_bracket(batch, logs, bounds, *opts)
+    # every slice the reference brackets, bit for bit, and every norm
+    kept = (want[0] != 0) | (want[1] != 0)
+    assert got[:, kept].tobytes() == want[:, kept].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()
+    # the copies only the shared pass brackets are ones the reference
+    # drops: below their length's best lower end
+    extra = ~kept & (got[1] != 0)
+    assert extra.any()
+    with np.errstate(divide="ignore"):
+        lo_log = np.log(want[0]) + logs
+        hi_log = np.log(got[1]) + logs
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        assert (hi_log[a:b][extra[a:b]] < lo_log[a:b].max()).all()
+
+
+@pytest.mark.parametrize("collide", [
+    lambda flat, lengths: np.zeros(len(flat), dtype=np.uint64),
+    lambda flat, lengths: lengths.astype(np.uint64)],
+    ids=["one-hash", "one-hash-per-length"])
+def test_a_hash_collision_shares_nothing(collide, monkeypatch):
+    # with one hash for every slice, or for every slice of a length, the
+    # checks refuse every merge, and the stack is bracketed as without
+    # sharing
+    batch, logs, bounds = _tiled_stack()
+    monkeypatch.setattr(matrices, "_distinct_slices", _no_sharing)
+    want = matrices._batch_bracket(batch, logs, bounds)
+    monkeypatch.undo()
+    monkeypatch.setattr(matrices, "_row_hashes", collide)
+    found = _spy_sharing(monkeypatch)
+    assert matrices._batch_bracket(batch, logs, bounds).tobytes() == \
+        want.tobytes()
+    assert found == [None]
+
+
+def test_a_word_in_two_lengths_is_not_merged(monkeypatch):
+    batch, logs, bounds = _tiled_stack(same_words=True)
+    first, inverse = matrices._distinct_slices(batch, bounds)
+    # the same four words in each length, each kept once per length
+    assert np.searchsorted(first, bounds).tolist() == [0, 4, 8]
+    assert sorted(w.tobytes() for w in batch[first[:4]]) == \
+        sorted(w.tobytes() for w in batch[first[4:]])
+    assert (inverse[:2400] < 4).all() and (inverse[2400:] >= 4).all()
+    # a hash blind to the length proposes the merges across lengths; the
+    # length check refuses them
+    hashes = matrices._row_hashes
+    monkeypatch.setattr(matrices, "_row_hashes", lambda flat, lengths:
+                        hashes(flat, np.zeros_like(lengths)))
+    assert matrices._distinct_slices(batch, bounds) is None

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hadamard_jsr import (COL_SUM, ROW_SUM, SPECTRAL, CapExceeded,
-                          GeneratorParams, RadiusBracket, dedupe,
+from hadamard_jsr import (COL_SUM, MEMBER_CAP, ROW_SUM, SPECTRAL,
+                          CapExceeded, GeneratorParams, RadiusBracket, dedupe,
                           gelfand_sequence, gen_radius_lower,
                           generate_instance, joint_radius_upper, matrix_set,
                           radius_bracket_set, set_power,
@@ -630,6 +630,51 @@ def test_symmetrization_dedupes_each_level_set_once(monkeypatch):
     # the level sets of 4, 16 and 256 members; the one of 65,536 members
     # is scanned as it is
     assert sizes == [4, 16, 256]
+
+
+def _upper_psi():
+    # an upper-triangular pair: its 65,536-word symmetrized levels hold
+    # 63 and 255 distinct words once normalized
+    return matrix_set([np.array([[0.96, 0.21], [0.0, 0.11]]),
+                       np.array([[0.58, 0.38], [0.0, 0.8]])])
+
+
+@pytest.mark.parametrize("kind", [ROW_SUM, SPECTRAL])
+def test_shared_brackets_leave_every_query_unchanged(kind, monkeypatch):
+    psi = _upper_psi()
+    level = symmetrize_ab(set_power(psi, 8), 0.7, 0.5)
+
+    def queries():
+        return [radius_bracket_set(level, 1, kind),
+                gelfand_sequence(level, 1, kind).entries,
+                symmetrization_sequence(psi, 0.5, 3, 6, kind).levels,
+                symmetrization_sequence_ab(psi, 0.7, 0.5, 3, 6, kind).levels]
+
+    found = []
+    distinct = matrices._distinct_slices
+    monkeypatch.setattr(matrices, "_distinct_slices", lambda *args:
+                        found.append(distinct(*args)) or found[-1])
+    shared = queries()
+    # each query's huge level, and under the two norm its Gram stack too
+    assert len(found) == (8 if kind == SPECTRAL else 4)
+    assert all(f is not None for f in found)
+    monkeypatch.setattr(matrices, "_distinct_slices", lambda *args: None)
+    assert repr(queries()) == repr(shared)
+
+
+@pytest.mark.parametrize("kind", [ROW_SUM, SPECTRAL])
+@pytest.mark.parametrize("huge", [False, True], ids=["small", "huge"])
+def test_duplicated_members_keep_the_bracket(huge, kind):
+    # every member twice: dedupe removes the copies of a small set, and the
+    # bracket shares those of a huge one
+    psi = _upper_psi()
+    s, depth = ((symmetrize_ab(set_power(psi, 8), 0.7, 0.5), 1) if huge
+                else (psi, 6))
+    doubled = matrix_set(np.repeat(s.members, 2, axis=0))
+    assert len(doubled) <= MEMBER_CAP
+    assert (len(s) > matrices._BATCH_WORDS) == huge
+    assert radius_bracket_set(doubled, depth, kind) == \
+        radius_bracket_set(s, depth, kind)
 
 
 def _refine_by_tuple_sort(members, levels, tol):
