@@ -81,45 +81,22 @@ def _cache_put(key: tuple, bracket: RadiusBracket) -> None:
     _brackets[key] = bracket
 
 
-@dataclass(frozen=True)
-class _Deferred:
-    """The bracket of a link whose factor sets are not bracketed yet:
-    ``factors`` pairs each set, or the bracket of a set too large to hold,
-    with its exponent."""
-
-    ev: "_Evaluator"
-    factors: tuple
-
-    def settled(self) -> RadiusBracket:
-        ev = self.ev
-        ev.settle()
-        parts = [(x if isinstance(x, RadiusBracket) else ev.set_bracket(x),
-                  e) for x, e in self.factors]
-        return _bracket_product(parts, ev.depth, ev.norm)
-
-
 class _Evaluator:
-    """Builds the links of one chain from set brackets at one
-    ``(depth, norm, budget)``, each read through the process-wide cache.
+    """Builds the link specs and the report of one set chain from set
+    brackets at one ``(depth, norm, budget)``, read through the cache.
 
-    A link records its factor sets, and :func:`_report` brackets every
-    recorded set the cache lacks in one batched call.  A set of more than
-    ``_BATCH_WORDS`` members, whose scan is a call of its own anyway, is
-    bracketed when its link is made, so the chain does not hold it.  A
-    chain body runs in its evaluator's ``with`` block: if it raises, the
-    recorded sets are bracketed in link order first, and the first bracket
-    error is raised in its place, the error the chain meets when it
-    brackets each link as it makes it.
+    A chain body runs in its evaluator's ``with`` block: if it raises, the
+    sets its links recorded are bracketed in link order first, and the
+    first bracket error is raised in its place, the error the chain meets
+    when it brackets each link as it makes it.
     """
 
     def __init__(self, depth: int, norm: str, budget: int):
         self.depth = depth
         self.norm = norm
         self.budget = budget
-        self._recorded: list[MatrixSet] = []
-        # id -> (set, key) of the sets the chain records: each is hashed
-        # once per chain, and held, so its id is not reused while the entry
-        # lives
+        # id -> (set, key) of the sets the links record, in link order: each
+        # is hashed once and held, so its id is not reused while it lives
         self._keys: dict[int, tuple[MatrixSet, tuple]] = {}
 
     def __enter__(self) -> "_Evaluator":
@@ -128,7 +105,7 @@ class _Evaluator:
     def __exit__(self, *exc_info) -> None:
         if isinstance(exc_info[1], Exception):
             try:
-                self.settle()
+                self._settle(self._keys.values())
             except Exception as err:
                 raise err from None
 
@@ -143,50 +120,60 @@ class _Evaluator:
                 self._keys[id(ms)] = hit
         return hit[1]
 
-    def _fresh(self, sets):
-        """Brackets of ``sets`` at this search, one at a time as asked."""
-        return _bracket_sets(sets, self.depth, self.norm, DEFAULT_TOL,
-                             WORD_CAP, self.budget)
-
     def set_bracket(self, ms: MatrixSet) -> RadiusBracket:
         key = self._key(ms)
         if key not in _brackets:
-            _cache_put(key, next(self._fresh([ms])))
+            self._settle([(ms, key)])
         return _brackets[key]
 
-    def settle(self) -> None:
-        """Bracket the recorded sets the cache lacks, in link order and in
-        one batched call, and cache each.  A recorded set the cache holds
-        moves to its newest end, so that none is evicted before its link
-        reads it."""
+    def _settle(self, hits) -> None:
+        """Bracket the sets of ``hits``, (set, key) pairs, that the cache
+        lacks, in order and in one batched call, and cache each.  A set the
+        cache holds moves to its newest end, so that none is evicted before
+        its link reads it."""
         todo = {}
-        for ms in self._recorded:
-            key = self._key(ms)
+        for ms, key in hits:
             if key in _brackets:
                 _brackets[key] = _brackets.pop(key)
             else:
                 todo.setdefault(key, ms)
-        self._recorded = []
-        for key, bracket in zip(todo, self._fresh(list(todo.values()))):
+        for key, bracket in zip(todo, _bracket_sets(
+                list(todo.values()), self.depth, self.norm, DEFAULT_TOL,
+                WORD_CAP, self.budget)):
             _cache_put(key, bracket)
 
-    def link(self, label: str, factors, relation: str) -> ChainLink:
-        """``factors``: list of (MatrixSet, exponent) with exponent >= 0."""
+    def link(self, label: str, factors, relation: str) -> tuple:
+        """The spec ``(label, parts, relation)`` of the link valued
+        ``Π r(set)^exponent`` over ``factors``, (MatrixSet, exponent >= 0)
+        pairs.  ``parts`` keeps a set of at most ``_BATCH_WORDS`` members,
+        recorded for the report, and holds the bracket of a larger one in
+        its place: its scan is a call of its own anyway, and the chain does
+        not hold it."""
         _check_search(self.depth, self.budget)
-        parts = []
-        for ms, e in factors:
-            if len(ms) > _BATCH_WORDS:
-                parts.append((self.set_bracket(ms), e))
-            else:
-                self._recorded.append(ms)
-                parts.append((ms, e))
-        return ChainLink(label, _Deferred(self, tuple(parts)), relation)
+        # _key records a set of at most _BATCH_WORDS members for the report
+        return label, tuple(
+            (ms if len(ms) <= _BATCH_WORDS and self._key(ms)
+             else self.set_bracket(ms), e) for ms, e in factors), relation
 
-    def context(self, **extra) -> dict:
-        ctx = {"depth": self.depth, "norm": self.norm, "tol": DEFAULT_TOL,
-               "word_budget": self.budget, "member_cap": MEMBER_CAP}
-        ctx.update(extra)
-        return ctx
+    def report(self, theorem_id: str, links, notes=(),
+               **context_extra) -> ChainReport:
+        """The report of ``links``, specs resolved after one batched call
+        and ready :class:`ChainLink`s, in the context of this search and
+        ``context_extra``."""
+        self._settle(self._keys.values())
+
+        def resolve(label, parts, relation):
+            parts = [(x if isinstance(x, RadiusBracket)
+                      else self.set_bracket(x), e) for x, e in parts]
+            return ChainLink(label, _bracket_product(parts, self.depth,
+                                                     self.norm), relation)
+
+        links = [link if isinstance(link, ChainLink) else resolve(*link)
+                 for link in links]
+        context = {"depth": self.depth, "norm": self.norm, "tol": DEFAULT_TOL,
+                   "word_budget": self.budget, "member_cap": MEMBER_CAP,
+                   **context_extra}
+        return _report(theorem_id, links, context, notes)
 
 
 def assess(links):
@@ -237,11 +224,8 @@ def _bracket_product(parts, depth: int, norm: str) -> RadiusBracket:
 
 def _report(theorem_id: str, links, context: dict,
             notes=()) -> ChainReport:
-    links = tuple(
-        ChainLink(link.label, link.bracket.settled(), link.relation_to_next)
-        if isinstance(link.bracket, _Deferred) else link for link in links)
     verdict, margins = assess(links)
-    return ChainReport(theorem_id, links, verdict, margins,
+    return ChainReport(theorem_id, tuple(links), verdict, margins,
                        notes=tuple(notes), context=context)
 
 
@@ -336,8 +320,7 @@ def chain_powers(sets, w: WeightVector, n: int,
             ev.link("r(∘-mean uniform)", [(umean, 1.0)], LEQ),
             ev.link(f"r(Ψ1⋯Ψ{m})^(1/{m})", [(prod, 1.0 / m)], END),
         )
-    return _report("powers", links,
-                   ev.context(n=n, weights=list(w.weights)))
+    return ev.report("powers", links, n=n, weights=list(w.weights))
 
 
 def _pair_sets(psi: MatrixSet, sigma: MatrixSet):
@@ -373,7 +356,7 @@ def chain_refin(psi: MatrixSet, sigma: MatrixSet, beta: float,
                     [(mean_ps_ps, b_ps), (mean_sp_sp, b_sp)], EQ),
             ev.link("r(ΨΣ)", [(ps, 1.0)], END),
         )
-    return _report("refin", links, ev.context(beta=beta))
+    return ev.report("refin", links, beta=beta)
 
 
 def chain_folge(psi: MatrixSet, t: float, n: int,
@@ -392,7 +375,7 @@ def chain_folge(psi: MatrixSet, t: float, n: int,
                     LEQ),
             ev.link(f"r(Ψ)^{t:g}", [(psi, t)], END),
         )
-    return _report("folge", links, ev.context(t=t, n=n))
+    return ev.report("folge", links, t=t, n=n)
 
 
 def chain_kathyprop_eq(psi: MatrixSet, sigma: MatrixSet, w: WeightVector,
@@ -415,8 +398,8 @@ def chain_kathyprop_eq(psi: MatrixSet, sigma: MatrixSet, w: WeightVector,
             ev.link("r(ΨΣ∘-sq)^β·r(ΣΨ∘-sq)^(1-β)",
                     [(mean_ps_ps, b_ps), (mean_sp_sp, b_sp)], END),
         )
-    return _report("kathyprop-eq", links,
-                   ev.context(beta=beta, weights=list(w.weights)))
+    return ev.report("kathyprop-eq", links, beta=beta,
+                     weights=list(w.weights))
 
 
 def chain_kathyprop_mat(psi: MatrixSet, m: int, alpha: float, n: int,
@@ -453,8 +436,7 @@ def chain_kathyprop_mat(psi: MatrixSet, m: int, alpha: float, n: int,
         else:
             notes.append("alpha = 1: real-power chain degenerates to identity "
                          "links and is skipped")
-    return _report("kathyprop-mat", links,
-                   ev.context(m=m, alpha=alpha, n=n), notes)
+    return ev.report("kathyprop-mat", links, notes, m=m, alpha=alpha, n=n)
 
 
 def _chain_grid(theorem_id, grid, w, n, depth, norm, budget, mode, combine,
@@ -482,9 +464,8 @@ def _chain_grid(theorem_id, grid, w, n, depth, norm, budget, mode, combine,
             ev.link(labels[2].format(n=n), [(col_mean_n, 1.0 / n)], LEQ),
             ev.link(labels[3], list(zip(cols, w.weights)), END),
         )
-    return _report(theorem_id, links,
-                   ev.context(k=k, m=m, n=n, mode=mode,
-                              weights=list(w.weights)))
+    return ev.report(theorem_id, links, k=k, m=m, n=n, mode=mode,
+                     weights=list(w.weights))
 
 
 def chain_finally(grid, w: WeightVector, n: int,
@@ -531,7 +512,7 @@ def chain_kathyth1(sets, n: int, depth: int = DEFAULT_CHAIN_DEPTH,
                       1.0 / (n * m))], LEQ),
             ev.link(f"r(Ψ1⋯Ψ{m})^(1/{m})", [(phis[0], 1.0 / m)], END),
         )
-    return _report("kathyth1", links, ev.context(m=m, n=n))
+    return ev.report("kathyth1", links, m=m, n=n)
 
 
 def chain_equalities_joint(sets, w: WeightVector, beta: float,
@@ -555,8 +536,8 @@ def chain_equalities_joint(sets, w: WeightVector, beta: float,
             ev.link("Π r(Φj^(β)∘Φj^(1-β))^αj",
                     [(split(p), a) for p, a in zip(phis, w.weights)], END),
         )
-    return _report("equalities-joint", links,
-                   ev.context(beta=beta, m=m, weights=list(w.weights)))
+    return ev.report("equalities-joint", links, beta=beta, m=m,
+                     weights=list(w.weights))
 
 
 def chain_kathyth2(sets, alpha: float, n: int,
@@ -601,10 +582,9 @@ def chain_kathyth2(sets, alpha: float, n: int,
             um = uniform_weights(m)
             links += [
                 lhs,
-                ChainLink(f"r(∘-mean of Φj^(α))^(1/{m})", mean_phis.bracket,
-                          LEQ),
-                ChainLink(f"r(∘-mean of (Φj^{n})^(α))^(1/{m * n})",
-                          mean_phis_n.bracket, LEQ),
+                (f"r(∘-mean of Φj^(α))^(1/{m})", mean_phis[1], LEQ),
+                (f"r(∘-mean of (Φj^{n})^(α))^(1/{m * n})", mean_phis_n[1],
+                 LEQ),
                 ev.link(f"(Π r((Φj^{n})^({m})))^(α/{m * m * n})",
                         [(set_hadamard_power(p, float(m)),
                           alpha / (m * m * n)) for p in phis_n], LEQ),
@@ -620,8 +600,7 @@ def chain_kathyth2(sets, alpha: float, n: int,
         else:
             notes.append("skipped: hypothesis alpha >= 1 not met for the "
                          "diagonal-power and cyclic-power branches")
-    return _report("kathyth2", links, ev.context(alpha=alpha, m=m, n=n),
-                   notes)
+    return ev.report("kathyth2", links, notes, alpha=alpha, m=m, n=n)
 
 
 def chain_geom_sym(sets, alpha: float, n: int,
@@ -657,8 +636,8 @@ def chain_geom_sym(sets, alpha: float, n: int,
                     [(sym(set_power(total, n)), 1.0 / n)], LEQ),
             ev.link("r(Ψ1+⋯+Ψm)^(α+β)", [(total, a + b)], END),
         )
-    return _report("geom-sym" if ab is None else "geom-sym-mat", links,
-                   ev.context(alpha=a, beta=b, m=m, n=n))
+    return ev.report("geom-sym" if ab is None else "geom-sym-mat", links,
+                     alpha=a, beta=b, m=m, n=n)
 
 
 def chain_sym_mono(psi: MatrixSet, alpha: float, n_max: int,
@@ -674,11 +653,12 @@ def chain_sym_mono(psi: MatrixSet, alpha: float, n_max: int,
         links = [ChainLink(f"r_{n} = r(S(Ψ^{2 ** n}))^(1/{2 ** n})", bracket,
                            LEQ) for n, bracket in seq.levels]
         links.append(ev.link(f"r(Ψ)^{a + b:g}", [(psi, a + b)], END))
-    return _report("sym-mono" if ab is None else "sym-mat", links,
-                   ev.context(alpha=a, beta=b, n_max=n_max))
+    return ev.report("sym-mono" if ab is None else "sym-mat", links,
+                     alpha=a, beta=b, n_max=n_max)
 
 
 def _run_zhan(p) -> ChainReport:
+    _check_search(p.kw["depth"], p.kw["budget"])
     mats = [m for s in p.sets for m in s]
     if len(mats) < 2:
         mats = mats * 2

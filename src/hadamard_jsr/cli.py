@@ -211,7 +211,7 @@ def run_command(argv) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -1,11 +1,13 @@
-"""Edge cases of chain construction: rounding at a hypothesis boundary, and
-the grid and mode validation and matrix mode shared by both grid chains."""
+"""Edge cases of chain construction: rounding at a hypothesis boundary, an
+empty search, and the grid and mode validation and matrix mode shared by
+both grid chains."""
 
 import pytest
 
-from hadamard_jsr import (SUPER, DimensionMismatch, GeneratorParams,
-                          WeightVector, chain_finally, chain_finally2,
-                          chain_kathyth2, generate_instance, uniform_weights)
+from hadamard_jsr import (SUPER, THEOREM_IDS, DimensionMismatch,
+                          GeneratorParams, WeightVector, chain_finally,
+                          chain_finally2, chain_kathyth2, generate_instance,
+                          run_theorem, uniform_weights)
 
 
 def test_chain_kathyth2_alpha_one_over_m_rounding():
@@ -16,6 +18,16 @@ def test_chain_kathyth2_alpha_one_over_m_rounding():
     rep = chain_kathyth2(sets, 1 / 49, 1)
     assert rep.verdict == "verified"
     assert any("skipped" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+@pytest.mark.parametrize("search,message",
+                         [({"depth": 0}, "depth must be >= 1"),
+                          ({"budget": 0}, "word_budget must be >= 1")])
+def test_every_chain_rejects_an_empty_search(tid, search, message):
+    sets = generate_instance(GeneratorParams(2, 2, 2, 1.0, 1.0, 3))
+    with pytest.raises(ValueError, match=message):
+        run_theorem(tid, sets, **search)
 
 
 @pytest.mark.parametrize("chain", [chain_finally, chain_finally2])

@@ -188,7 +188,7 @@ def test_cli_option_defaults(argv, defaults):
     assert args == {"command": argv[0], **defaults}
 
 
-def test_cli_parse_error_exit_4(tmp_path):
+def test_cli_parse_error_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert run_command(["radius", str(bad)]) == 4
@@ -206,6 +206,8 @@ def test_cli_parse_error_exit_4(tmp_path):
                  ["symmetrize", inst, "--depth", "0", "--levels", "4"],
                  ["symmetrize", inst, "--budget", "0", "--levels", "4"],
                  ["chain", inst, "--theorem", "refin", "--depth", "0"],
+                 ["chain", inst, "--theorem", "zhan-chain", "--depth", "0"],
+                 ["chain", inst, "--theorem", "zhan-chain", "--budget", "0"],
                  ["symmetrize", inst, "--levels", "-1"],
                  ["chain", inst, "--theorem", "sym-mono", "--levels", "-1"],
                  ["verify-all", "--seeds", "5..3"],
@@ -216,6 +218,12 @@ def test_cli_parse_error_exit_4(tmp_path):
                  ["gen", "--scale", "nan"],
                  ["gen", "--scale", "inf"]):
         assert run_command(argv + ["--out", str(tmp_path / "x")]) == 4, argv
+    # a directory where a file is read or written
+    for argv in (["radius", str(tmp_path)], ["gen", "--out", str(tmp_path)]):
+        capsys.readouterr()
+        assert run_command(argv) == 4, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cli_cap_exceeded_exit_3(tmp_path):

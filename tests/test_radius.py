@@ -1,7 +1,9 @@
 """Radius estimation: certified brackets for joint/generalized spectral
 radii of finite matrix sets."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hadamard_jsr import chains, matrices, radius
 from hadamard_jsr.matrices import _batch_bracket
 from hadamard_jsr.oracle import oracle_gen_radius, oracle_spectral_radius
 from hadamard_jsr.sets import _pairwise
+from test_bracket_cache import SET_CHAIN_IDS
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -780,11 +783,30 @@ def _count_batch_calls(monkeypatch):
     return calls
 
 
-def test_a_chain_brackets_its_small_sets_in_one_call(monkeypatch):
+@pytest.mark.parametrize("tid", SET_CHAIN_IDS + ("geom-sym-mat",))
+def test_a_chain_brackets_its_small_sets_in_one_call(monkeypatch, tid):
     sets = generate_instance(GeneratorParams(3, 2, 2, 0.8, 1.0, 5))
     calls = _count_batch_calls(monkeypatch)
-    chains.run_theorem("kathyth2", sets, depth=4, budget=4000)
+    asks = []
+    real = chains._bracket_sets
+    monkeypatch.setattr(chains, "_bracket_sets",
+                        lambda sets, *a: asks.append(sets) or real(sets, *a))
+    chains.run_theorem(tid, sets, depth=4, budget=4000)
     assert len(calls) == 1
+    # the report settles once: one call for every set the cache lacks
+    assert len(asks) == 1
+
+
+def test_a_chain_does_not_hold_its_large_sets():
+    big = set_power(golden_pair(), 13)
+    assert len(big) == 8192 > chains._BATCH_WORDS
+    alive = weakref.ref(big)
+    with chains._Evaluator(1, ROW_SUM, 100) as ev:
+        spec = ev.link("r(Ψ^13)", [(big, 1.0)], chains.END)
+        del big
+        gc.collect()
+        # the spec and the evaluator are alive; the set is not
+        assert spec and alive() is None
 
 
 def test_a_symmetrization_sequence_batches_its_small_levels(monkeypatch):

@@ -3,8 +3,9 @@
 Every import in ``src/hadamard_jsr/*.py`` is used in its module (or
 re-exported through ``__all__``), every module-level name is read
 somewhere in ``src/``, ``tests/`` or ``bench/``, or listed in ``__all__``,
-and every parameter of a function or lambda is read in its body.  Names
-are matched by identifier, as a linter without type information would.
+so is every non-dunder method of a class, and every parameter of a
+function or lambda is read in its body.  Names are matched by identifier,
+as a linter without type information would.
 In ``sets.py`` only the input path constructs ``MatrixSet`` directly.
 """
 
@@ -87,6 +88,18 @@ def test_every_import_is_used(path):
 def test_every_module_name_is_referenced(path, everywhere):
     unread = _definitions(_parse(path)) - everywhere
     assert not unread, f"{path.name}: unreferenced names {sorted(unread)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_method_is_referenced(path, everywhere):
+    classes = [node for node in ast.walk(_parse(path))
+               if isinstance(node, ast.ClassDef)]
+    unread = [f"{cls.name}.{node.name}" for cls in classes
+              for node in cls.body if isinstance(node, ast.FunctionDef)
+              and not (node.name.startswith("__")
+                       and node.name.endswith("__"))
+              and node.name not in everywhere]
+    assert not unread, f"{path.name}: unreferenced methods {unread}"
 
 
 def _parameters(node: ast.FunctionDef | ast.Lambda) -> list[str]:
